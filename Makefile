@@ -38,18 +38,20 @@ benchgate:
 
 # The ELF frontend gate: fixture scenarios + symbolized-provenance
 # goldens, the decoder and pinned-layout unit tests, the
-# InstallSource registry/legacy equivalence sweep, and a fuzz smoke
-# proving malformed uploads fail typed, never panic.
+# InstallSource equivalence checks (the asm frontend behind the
+# registry is asm.Assemble: same images, same diagnostics), and a fuzz
+# smoke proving malformed uploads fail typed, never panic.
 elf:
-	$(GO) test -count=1 -run 'TestTableE1|TestELF|FuzzELFParse|TestDecodeELF' ./internal/corpus ./internal/image
+	$(GO) test -count=1 -run 'TestTableE1|TestELF|FuzzELFParse|TestDecodeELF|TestInstallSource' ./internal/corpus ./internal/image
 	$(GO) test -count=1 ./internal/x86 ./internal/loader
 	$(GO) test -count=1 -run TestInstallSource .
 	$(GO) test -fuzz=FuzzELFParse -fuzztime=10s ./internal/image
 
-# The clean-tier gate: the full-corpus differential sweep (clean
-# off/on × traces off/on, signatures bit-identical), the page-flip
-# seam units, the chaos-delayed recv re-instrumentation regression,
-# and a fuzz smoke over the mid-run taint-injection oracle.
+# The clean-tier gate: the full-corpus differential sweep (the
+# interpreter tier alone vs traces with the clean tier off and on,
+# signatures bit-identical), the page-flip seam units, the
+# chaos-delayed recv re-instrumentation regression, and a fuzz smoke
+# over the mid-run taint-injection oracle.
 clean-tier:
 	$(GO) test -count=1 -run 'TestCleanTierDifferentialSweep|TestCleanTierReinstrumentOnDelayedRecv' ./internal/corpus
 	$(GO) test -count=1 -run 'TestShadowSourceAfterCachedNil|TestShadowPageFlipSeam' ./internal/taint

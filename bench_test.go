@@ -74,7 +74,8 @@ func benchPerf(b *testing.B, workload string, mode corpus.PerfMode, tweak func(*
 }
 
 // interpTier pins every block to the interpreter tier, the
-// pre-tiering configuration the summary tier is A/B-measured against.
+// pre-tiering configuration the compiled tiers are A/B-measured
+// against.
 func interpTier(cfg *hth.Config) { cfg.Monitor.PromoteThreshold = 0 }
 
 func BenchmarkPerfALUBare(b *testing.B)       { benchPerf(b, "alu", corpus.PerfBare, nil) }
@@ -92,17 +93,6 @@ func BenchmarkPerfMemFullDataflow(b *testing.B) {
 }
 func BenchmarkPerfMemInterpDataflow(b *testing.B) {
 	benchPerf(b, "mem", corpus.PerfFull, interpTier)
-}
-
-// summaryTier caps the engine at the summary tier — the pre-trace
-// configuration the trace tier is A/B-measured against.
-func summaryTier(cfg *hth.Config) {
-	cfg.Monitor.TraceThreshold = 0
-	cfg.Monitor.CleanThreshold = 0
-}
-
-func BenchmarkPerfMemSummaryDataflow(b *testing.B) {
-	benchPerf(b, "mem", corpus.PerfFull, summaryTier)
 }
 
 // noCleanTier caps the engine at the trace tier — the configuration

@@ -83,6 +83,18 @@ func applyPolicy(cfg *hth.Config, file string) {
 	cfg.Policy = pol
 }
 
+// attachVerbose streams the expert-system printout to stdout as the
+// run progresses: the fire trace under -verbose, plus the asserted
+// event facts under -trace.
+func (o opts) attachVerbose(cfg *hth.Config) {
+	switch {
+	case o.verbose && o.trace:
+		hth.WithObserver(hth.CLIPSTranscript(os.Stdout))(cfg)
+	case o.verbose:
+		hth.WithObserver(hth.CLIPSText(os.Stdout))(cfg)
+	}
+}
+
 func runScenario(name string, o opts) {
 	sc, ok := corpus.ByName(name)
 	if !ok {
@@ -97,10 +109,7 @@ func runScenario(name string, o opts) {
 		sc.Tweak(&cfg)
 	}
 	applyPolicy(&cfg, o.policy)
-	if o.verbose {
-		cfg.Verbose = os.Stdout
-		cfg.TraceAsserts = o.trace
-	}
+	o.attachVerbose(&cfg)
 	res, err := sys.Run(cfg, sc.Spec)
 	if err != nil {
 		fatalf("%v", err)
@@ -129,10 +138,7 @@ func runProgram(path, stdin, kill string, o opts, args []string) {
 	cfg := hth.DefaultConfig()
 	cfg.Monitor.Dataflow = !o.noflow
 	applyPolicy(&cfg, o.policy)
-	if o.verbose {
-		cfg.Verbose = os.Stdout
-		cfg.TraceAsserts = o.trace
-	}
+	o.attachVerbose(&cfg)
 	if kill != "" {
 		sev, err := parseSeverity(kill)
 		if err != nil {

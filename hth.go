@@ -23,12 +23,10 @@ package hth
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/chaos"
 	"repro/internal/expert"
 	"repro/internal/guestlib"
@@ -130,20 +128,6 @@ type Config struct {
 	// owns its trace.
 	spanRec    *obs.SpanRecorder
 	spanParent uint64
-	// Verbose, when set, receives Secpert's CLIPS-style fire trace
-	// and warning printout as the run progresses.
-	//
-	// Deprecated: attach CLIPSText(w) with WithObserver instead; the
-	// rendered bytes are identical. Verbose keeps working and may be
-	// combined with observers.
-	Verbose io.Writer
-	// TraceAsserts additionally echoes every event fact asserted
-	// into the expert system (the Appendix A.1 transcript style);
-	// requires Verbose.
-	//
-	// Deprecated: attach CLIPSTranscript(w) with WithObserver instead;
-	// the rendered bytes are identical.
-	TraceAsserts bool
 }
 
 // DefaultConfig mirrors the paper's prototype: full instrumentation,
@@ -294,24 +278,11 @@ func (s *System) Install(path string, img *image.Image) {
 	s.OS.FS.Install(path, img)
 }
 
-// legacyInstall reroutes InstallSource through the historical direct
-// asm.Assemble path instead of the format registry; it exists only so
-// the equivalence test can prove the two paths behavior-identical.
-var legacyInstall = false
-
 // InstallSource assembles src and installs it at path. It forces the
 // text frontend (image.DecodeAs) rather than sniffing, so arbitrary
 // source text is never mis-detected, and compile diagnostics come back
 // exactly as asm.Assemble reports them.
 func (s *System) InstallSource(path, src string) error {
-	if legacyInstall {
-		img, err := asm.Assemble(path, src)
-		if err != nil {
-			return err
-		}
-		s.OS.FS.Install(path, img)
-		return nil
-	}
 	img, err := image.DecodeAs("asm", path, []byte(src))
 	if err != nil {
 		return err
@@ -405,8 +376,8 @@ type Session struct {
 
 // NewSession creates a shared monitoring session on this system. The
 // configuration is applied through the same normalized path as
-// System.Run, so budgets, chaos plans, observers, and the deprecated
-// Verbose/TraceAsserts writers all behave identically.
+// System.Run, so budgets, chaos plans and observers all behave
+// identically.
 func (s *System) NewSession(cfg Config) *Session {
 	return &Session{rc: newRunCore(s, cfg)}
 }

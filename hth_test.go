@@ -102,8 +102,7 @@ func TestVerboseOutput(t *testing.T) {
 	sys.MustInstallSource("/bin/ls", lsSrc)
 	sys.MustInstallSource("/bin/trojan", trojanSrc)
 	var out bytes.Buffer
-	cfg := hth.DefaultConfig()
-	cfg.Verbose = &out
+	cfg := hth.NewConfig(hth.WithObserver(hth.CLIPSText(&out)))
 	if _, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/trojan"}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,57 +5,26 @@ import (
 	"testing"
 
 	hth "repro"
-	"repro/internal/corpus"
+	"repro/internal/asm"
 )
 
-// TestInstallSourceEquivalence is the api_redesign identity gate:
-// InstallSource now routes through the format registry
-// (image.DecodeAs("asm", ...)) instead of calling the assembler
-// directly, and that refactor must be invisible. The whole corpus is
-// swept once under the legacy direct path and once under the registry
-// path; the sweep signatures — steps, outcome, problem count, and an
-// FNV-64a hash of every warning's full text — must match element-wise.
-func TestInstallSourceEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full corpus sweep")
-	}
-	scs := corpus.All()
-	if len(scs) == 0 {
-		t.Fatal("empty corpus")
-	}
-	prev := hth.SetLegacyInstall(true)
-	legacy := corpus.SweepSignature(corpus.RunAll(scs, 0))
-	hth.SetLegacyInstall(prev)
-	registry := corpus.SweepSignature(corpus.RunAll(scs, 0))
-
-	if len(legacy) != len(registry) {
-		t.Fatalf("sweep sizes diverged: %d vs %d", len(legacy), len(registry))
-	}
-	for i := range legacy {
-		if legacy[i] != registry[i] {
-			t.Errorf("scenario %s diverged:\n legacy:   %s\n registry: %s",
-				scs[i].Name, legacy[i], registry[i])
-		}
-	}
-}
-
 // TestInstallSourceDiagnosticsEquivalence pins the error surface: a
-// program that fails to assemble must report the identical diagnostic
-// through both paths — the registry wraps nothing around compile
-// errors (a bad program is not a malformed container).
+// program that fails to assemble must report through InstallSource
+// exactly the diagnostic the assembler itself produces — the format
+// registry wraps nothing around compile errors (a bad program is not
+// a malformed container). The image side of the equivalence is
+// internal/corpus's TestInstallSourceEquivalence.
 func TestInstallSourceDiagnosticsEquivalence(t *testing.T) {
 	const bad = ".text\n_start:\n    bogus eax, 1\n"
-	prev := hth.SetLegacyInstall(true)
-	legacyErr := hth.NewSystem().InstallSource("/bin/bad", bad)
-	hth.SetLegacyInstall(prev)
-	registryErr := hth.NewSystem().InstallSource("/bin/bad", bad)
-	if legacyErr == nil || registryErr == nil {
-		t.Fatalf("bad program accepted: legacy=%v registry=%v", legacyErr, registryErr)
+	_, asmErr := asm.Assemble("/bin/bad", bad)
+	installErr := hth.NewSystem().InstallSource("/bin/bad", bad)
+	if asmErr == nil || installErr == nil {
+		t.Fatalf("bad program accepted: asm=%v install=%v", asmErr, installErr)
 	}
-	if legacyErr.Error() != registryErr.Error() {
-		t.Errorf("diagnostics diverged:\n legacy:   %s\n registry: %s", legacyErr, registryErr)
+	if asmErr.Error() != installErr.Error() {
+		t.Errorf("diagnostics diverged:\n asm:     %s\n install: %s", asmErr, installErr)
 	}
-	if !strings.Contains(registryErr.Error(), "bogus") {
-		t.Errorf("diagnostic does not name the offending mnemonic: %s", registryErr)
+	if !strings.Contains(installErr.Error(), "bogus") {
+		t.Errorf("diagnostic does not name the offending mnemonic: %s", installErr)
 	}
 }

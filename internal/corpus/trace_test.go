@@ -6,36 +6,33 @@ import (
 	hth "repro"
 )
 
-// TestTraceDifferentialSweep is the trace tier's correctness gate,
-// mirroring TestTierDifferentialSweep one rung up the ladder: the full
-// corpus runs with the trace tier disabled (summary tier only) and
-// with aggressive trace promotion, crossed with provenance recording
-// on and off, and the sweep signatures must match element-wise in
-// every cell. Detections, reported tag sets and injected faults are
-// therefore bit-identical whether blocks execute in the interpreter,
-// as summaries, as compiled traces, or through the clean-taint gate's
-// tag-free fast path.
+// TestTraceDifferentialSweep is the trace tier's correctness gate:
+// the full corpus runs on the interpreter tier alone
+// (PromoteThreshold=0) and with traces compiled after a single block
+// execution, crossed with provenance recording on and off, and the
+// sweep signatures must match element-wise in every cell. Detections,
+// reported tag sets and injected faults are therefore bit-identical
+// whether blocks execute in the interpreter, as compiled traces, or
+// through the clean-taint gate's tag-free fast path.
 func TestTraceDifferentialSweep(t *testing.T) {
 	scs := All()
-	cell := func(traceThreshold int, prov bool) []RunOutcome {
+	cell := func(promote int, prov bool) []RunOutcome {
 		return RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
-			cfg.Monitor.PromoteThreshold = 1
-			cfg.Monitor.TraceThreshold = traceThreshold
+			cfg.Monitor.PromoteThreshold = promote
 			cfg.Provenance = prov
 		})
 	}
-	base := cell(0, false)
-	ref := SweepSignature(base)
+	ref := SweepSignature(cell(0, false))
 	for _, c := range []struct {
-		name           string
-		traceThreshold int
-		prov           bool
+		name    string
+		promote int
+		prov    bool
 	}{
-		{"traces", 2, false},
-		{"traces+prov", 2, true},
+		{"traces", 1, false},
+		{"traces+prov", 1, true},
 		{"prov-only", 0, true},
 	} {
-		got := SweepSignature(cell(c.traceThreshold, c.prov))
+		got := SweepSignature(cell(c.promote, c.prov))
 		for i := range ref {
 			if ref[i] != got[i] {
 				t.Errorf("%s divergence:\n  base: %s\n  %s: %s", c.name, ref[i], c.name, got[i])
@@ -44,7 +41,7 @@ func TestTraceDifferentialSweep(t *testing.T) {
 	}
 	// The traced cells must actually have exercised the trace tier —
 	// and the gate — or the comparison proves nothing.
-	traced := cell(2, false)
+	traced := cell(1, false)
 	hits, gated := 0, 0
 	for _, o := range traced {
 		if o.Result == nil {

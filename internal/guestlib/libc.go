@@ -25,7 +25,8 @@ const LibcName = "libc.so"
 // the trusted-image set matches the paper's: libc and ld-linux).
 const LdName = "ld-linux.so"
 
-const libcSrc = `
+// LibcSrc is the assembly source of libc.so.
+const LibcSrc = `
 .image "libc.so"
 
 .text
@@ -271,7 +272,8 @@ itoa_tmp:    .space 16
 puts_nl:     .asciz "\n"
 `
 
-const ldSrc = `
+// LdSrc is the assembly source of ld-linux.so.
+const LdSrc = `
 .image "ld-linux.so"
 .text
 ; The dynamic linker's visible surface is a no-op in the simulator;
@@ -285,12 +287,12 @@ _dl_ident: .asciz "ld-linux.so.2"
 
 // Libc assembles a fresh libc.so image.
 func Libc() *image.Image {
-	return asm.MustAssemble(LibcName, libcSrc)
+	return asm.MustAssemble(LibcName, LibcSrc)
 }
 
 // Ld assembles a fresh ld-linux.so image.
 func Ld() *image.Image {
-	return asm.MustAssemble(LdName, ldSrc)
+	return asm.MustAssemble(LdName, LdSrc)
 }
 
 // Natives returns the host implementations of libc's native routines.

@@ -7,8 +7,8 @@ import (
 	"repro/internal/vos"
 )
 
-// This file is the fourth execution tier of the tiered taint engine:
-// the *clean tier*, the dynamic form of taint-scoped partial
+// This file is the uninstrumented variant of the trace tier: the
+// *clean tier*, the dynamic form of taint-scoped partial
 // instrumentation (PAPERS.md, Thakur 2024). The clean-taint gate in
 // trace.go already skips taint transfer for traces whose effect was
 // verified stationary — but its verdicts are keyed on the concrete
@@ -17,14 +17,14 @@ import (
 // transfer forever, even though it never goes near a tag.
 //
 // The clean tier closes that hole with a value-INDEPENDENT proof.
-// A compiled block or trace is demotable when its whole memory
-// footprint is expressible as entry-register + displacement (the same
-// symbolic-address property the summary compiler and the gate already
-// establish). At entry, the footprint resolves to a small set of
-// shadow pages; if every one of those pages holds no tainted byte,
-// every load in the block reads the Empty tag — so each op's transfer
-// can be checked for no-op-ness against the entry register tags
-// alone, one compare or union per op, with zero shadow traffic:
+// A trace is demotable when its whole memory footprint is expressible
+// as entry-register + displacement (the same symbolic-address property
+// the gate already relies on; see summary.go). At entry, the footprint
+// resolves to a small set of shadow pages; if every one of those pages
+// holds no tainted byte, every load in the trace reads the Empty tag —
+// so each mop's transfer can be checked for no-op-ness against the
+// entry register tags alone, one compare or union per mop, with zero
+// shadow traffic:
 //
 //   - a load into a register is a no-op iff the register is untainted;
 //   - a store of a register or immediate is a no-op iff the stored
@@ -33,15 +33,14 @@ import (
 //   - register-to-register moves and unions are no-ops iff the
 //     destination already carries the result.
 //
-// Each verified op leaves the tag state exactly as it found it, so by
-// induction the entry tags stay valid for the whole list and any
+// Each verified mop leaves the tag state exactly as it found it, so by
+// induction the entry tags stay valid for the whole program and any
 // executed *prefix* of it — which is what makes the proof sound for
 // traces, whose side exits and budget exits run prefixes. A passing
 // proof is cached as a cleanEnt keyed on (shadow, entry register
-// tags, resolved page set) and the block runs UNINSTRUMENTED: no
+// tags, resolved page set) and the trace runs UNINSTRUMENTED: no
 // shadow lookups, no unions, no per-instruction hooks — concrete
-// semantics only (isa.SummaryClean for blocks, runTraceBare end-to-
-// end for traces).
+// semantics only (runTraceBare end to end).
 //
 // Re-instrumentation is the correctness bar. A cached verdict can rot
 // only when taint *arrives* at one of its footprint pages, and a page
@@ -52,46 +51,45 @@ import (
 // and by the flip listener); a probe whose snapshot is stale
 // re-checks its pages directly via Shadow.PageClean and either
 // refreshes or drops the entry (stats.Reinstrumented) — so the first
-// block entry after taint lands is back on the instrumented tier,
+// trace entry after taint lands is back on the instrumented tier,
 // before a single op of it executes. Detections can therefore never
 // be lost: the uninstrumented variant only ever runs under a live
 // proof that the instrumented variant would have done nothing.
 const (
-	// cleanMaxFoot caps the footprint *intervals* a demotable block may
-	// carry — one per base register (plus one for absolute operands),
-	// each covering [lo,hi] of every displacement off that base, so an
-	// unrolled superblock trace with hundreds of operands still
-	// resolves in a handful of steps. cleanMaxPages caps the distinct
-	// shadow pages a resolved footprint may touch; an interval wider
-	// than the page budget fails resolution and the block simply stays
-	// on its tier.
-	cleanMaxFoot  = 10
+	// cleanMaxPages caps the distinct shadow pages a resolved
+	// footprint may touch; an interval wider than the page budget
+	// fails resolution and the trace simply stays on its tier.
 	cleanMaxPages = 4
 	// cleanWays is how many cached verdicts (distinct entry-tag /
-	// page-set states) one block holds.
+	// page-set states) one trace holds.
 	cleanWays = 4
-	// cleanMaxStrikes bounds failed demotion attempts per block: a
-	// block whose proof keeps failing stops burning probe work.
+	// cleanMaxStrikes bounds failed demotion attempts per trace: a
+	// trace whose proof keeps failing stops burning probe work.
 	cleanMaxStrikes = 8
 	// cleanPageShift converts an address to its shadow-page index;
 	// must match taint.Shadow's page geometry (4 KiB).
 	cleanPageShift = 12
 )
 
-// fpEnt is one base register's slice of a block's footprint in
-// entry-relative form: every byte the block touches through this base
-// lies in [entry value + lo, entry value + hi]. The interval is a
-// conservative cover — untouched bytes between two operands are
-// included — which is sound (it only ever demands MORE pages be
-// clean) and keeps the footprint size O(bases), not O(operands).
+// fpEnt is one base register's slice of a trace's footprint in
+// entry-relative form: every byte the trace touches through this base
+// lies in [entry value + lo, entry value + hi]. Offsets are signed —
+// a displacement is read as int32, so a stack trace touching both
+// sides of its entry ESP stays one short interval instead of wrapping
+// around the address space. The interval is a conservative cover —
+// untouched bytes between two operands are included — which is sound
+// (it only ever demands MORE pages be clean) and keeps the footprint
+// size O(bases), not O(operands): an unrolled superblock trace with
+// hundreds of operands still resolves in at most one interval per
+// register plus one for absolute operands.
 type fpEnt struct {
 	base   uint8 // entry register index, or sumNoBase for absolute
-	lo, hi uint32
+	lo, hi int64
 }
 
 // cleanEnt is one cached clean verdict: with this shadow, these entry
 // register tags and this resolved page set — all of them clean as of
-// the snapshotted flip generation and source epoch — the block's
+// the snapshotted flip generation and source epoch — the trace's
 // whole taint transfer is a no-op.
 type cleanEnt struct {
 	sh    *taint.Shadow
@@ -102,13 +100,12 @@ type cleanEnt struct {
 	tags  [isa.NumRegs]taint.Tag
 }
 
-// cleanState is the demotion state embedded in a blockSummary or
-// blockTrace. ok is decided once at compile time (footprint
-// expressible and within caps); ways fill as entry states prove
-// clean and are replaced round-robin.
+// cleanState is the demotion state embedded in a blockTrace. ok is
+// decided once at compile time (footprint expressible); ways fill as
+// entry states prove clean and are replaced round-robin.
 type cleanState struct {
 	ok        bool
-	announced bool // KindBBClean published (once per block)
+	announced bool // KindBBClean published (once per trace)
 	strikes   int8
 	n         int // live ways
 	rr        int // round-robin victim when full
@@ -116,55 +113,25 @@ type cleanState struct {
 	ways      [cleanWays]cleanEnt
 }
 
-// initFootprint decides demotion eligibility from a symbolic op list
-// (a summary's own ops, or the symbolic pass the trace compiler ran
-// over its whole path): every memory operand widens its base
-// register's interval, so the footprint stays small no matter how far
-// the trace compiler unrolled.
-func (cs *cleanState) initFootprint(ops []sumOp) {
-	fp := make([]fpEnt, 0, cleanMaxFoot)
-	add := func(base uint8, disp uint32, wide bool) bool {
-		hi := disp
-		if wide {
+// initFootprint arms demotion from the path's symbolic access
+// summary: every access widens its base register's interval.
+func (cs *cleanState) initFootprint(acc []sumAccess) {
+	fp := make([]fpEnt, 0, isa.NumRegs+1)
+outer:
+	for _, a := range acc {
+		lo := int64(int32(a.disp))
+		hi := lo
+		if a.wide {
 			hi += 3
 		}
 		for i := range fp {
-			if fp[i].base == base {
-				if disp < fp[i].lo {
-					fp[i].lo = disp
-				}
-				if hi > fp[i].hi {
-					fp[i].hi = hi
-				}
-				return true
+			if fp[i].base == a.base {
+				fp[i].lo = min(fp[i].lo, lo)
+				fp[i].hi = max(fp[i].hi, hi)
+				continue outer
 			}
 		}
-		if len(fp) == cleanMaxFoot {
-			return false
-		}
-		fp = append(fp, fpEnt{base: base, lo: disp, hi: hi})
-		return true
-	}
-	for i := range ops {
-		op := &ops[i]
-		ok := true
-		switch op.code {
-		case cRegLoadW, cRegUnionLoadW:
-			ok = add(op.bBase, op.bDisp, true)
-		case cRegLoadB:
-			ok = add(op.bBase, op.bDisp, false)
-		case cStoreWReg, cStoreWTag, cMemUnionReg, cMemUnionTag:
-			ok = add(op.aBase, op.aDisp, true)
-		case cStoreBReg, cStoreBTag:
-			ok = add(op.aBase, op.aDisp, false)
-		case cMemUnionLoadW, cMemCopyW:
-			ok = add(op.aBase, op.aDisp, true) && add(op.bBase, op.bDisp, true)
-		case cMemCopyB:
-			ok = add(op.aBase, op.aDisp, false) && add(op.bBase, op.bDisp, false)
-		}
-		if !ok {
-			return // over the cap: ineligible, cs.ok stays false
-		}
+		fp = append(fp, fpEnt{base: a.base, lo: lo, hi: hi})
 	}
 	cs.fp = fp
 	cs.ok = true
@@ -187,8 +154,10 @@ func addPage(pages *[cleanMaxPages]uint32, n int, pg uint32) (int, bool) {
 
 // resolvePages maps the footprint onto concrete shadow-page indices
 // using the entry register values: each interval contributes every
-// page from its first byte to its last. pages beyond the returned
-// count stay zero, so whole-array compares between probes are exact.
+// page from its first byte to its last. An interval wider than the
+// page budget, or one wrapping around the address space, fails
+// resolution. pages beyond the returned count stay zero, so
+// whole-array compares between probes are exact.
 func (cs *cleanState) resolvePages(c *isa.CPU, pages *[cleanMaxPages]uint32) (int, bool) {
 	n := 0
 	ok := true
@@ -198,10 +167,13 @@ func (cs *cleanState) resolvePages(c *isa.CPU, pages *[cleanMaxPages]uint32) (in
 		if e.base != sumNoBase {
 			base = c.Regs[e.base]
 		}
-		first := (base + e.lo) >> cleanPageShift
-		last := (base + e.hi) >> cleanPageShift
-		if last-first >= cleanMaxPages {
+		if e.hi-e.lo >= cleanMaxPages<<cleanPageShift {
 			return 0, false // interval wider than the page budget
+		}
+		start := base + uint32(e.lo)
+		first, last := start>>cleanPageShift, (start+uint32(e.hi-e.lo))>>cleanPageShift
+		if last-first >= cleanMaxPages {
+			return 0, false // too many pages, or wraps around the address space
 		}
 		for pg := first; ; pg++ {
 			if n, ok = addPage(pages, n, pg); !ok {
@@ -253,7 +225,7 @@ func (cs *cleanState) lookup(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[c
 }
 
 // install caches a fresh verdict, publishing the demotion event the
-// first time this block ever goes clean.
+// first time this trace ever goes clean.
 func (cs *cleanState) install(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[cleanMaxPages]uint32, nPg int, key bbKey) {
 	var w *cleanEnt
 	if cs.n < cleanWays {
@@ -283,41 +255,8 @@ func (cs *cleanState) install(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[
 	}
 }
 
-// cleanProbeSum decides whether this summary entry runs on the clean
-// tier: cached-way hit, or a fresh proof over the summary's op list.
-func (h *Harrier) cleanProbeSum(c *isa.CPU, sum *blockSummary) bool {
-	cs := &sum.clean
-	sh := c.Shadow
-	var pages [cleanMaxPages]uint32
-	nPg, ok := cs.resolvePages(c, &pages)
-	if !ok {
-		return false
-	}
-	if cs.lookup(h, c, sh, &pages, nPg) {
-		return true
-	}
-	if cs.strikes >= cleanMaxStrikes {
-		return false
-	}
-	for k := 0; k < nPg; k++ {
-		if !sh.PageClean(pages[k]) {
-			cs.strikes++
-			return false
-		}
-	}
-	if !h.cleanOpsNoop(sum.ops, &c.RegTags) {
-		cs.strikes++
-		return false
-	}
-	cs.install(h, c, sh, &pages, nPg, sum.key)
-	return true
-}
-
-// cleanProbeTrace is cleanProbeSum for a trace; the proof runs over
-// the mop program (per instruction, in program order — the symbolic
-// op list is fused across branch boundaries and only safe for the
-// footprint, never for per-write verification of a path that can
-// side-exit).
+// cleanProbeTrace decides whether this trace entry runs on the clean
+// tier: a cached-way hit, or a fresh proof over the mop program.
 func (h *Harrier) cleanProbeTrace(c *isa.CPU, tr *blockTrace) bool {
 	cs := &tr.clean
 	sh := c.Shadow
@@ -342,60 +281,7 @@ func (h *Harrier) cleanProbeTrace(c *isa.CPU, tr *blockTrace) bool {
 		cs.strikes++
 		return false
 	}
-	cs.install(h, c, sh, &pages, nPg, tr.head.key)
-	return true
-}
-
-// cleanOpsNoop proves a summary op list transfers nothing, given the
-// entry register tags and an all-clean footprint (every load yields
-// Empty; a store is a no-op iff it stores Empty). Each passing op
-// leaves the tag state untouched, so checking every op against the
-// entry tags is exact, not approximate.
-func (h *Harrier) cleanOpsNoop(ops []sumOp, tags *[isa.NumRegs]taint.Tag) bool {
-	st := h.Store
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case cRegSet:
-			if tags[op.dst] != op.tag {
-				return false
-			}
-		case cRegCopy:
-			if tags[op.dst] != tags[op.src] {
-				return false
-			}
-		case cRegSetUnion:
-			if tags[op.dst] != st.Union(op.tag, tags[op.src]) {
-				return false
-			}
-		case cRegUnionReg:
-			if tags[op.dst] != st.Union(tags[op.dst], tags[op.src]) {
-				return false
-			}
-		case cRegUnionTag:
-			if tags[op.dst] != st.Union(tags[op.dst], op.tag) {
-				return false
-			}
-		case cRegLoadW, cRegLoadB:
-			if tags[op.dst] != taint.Empty {
-				return false
-			}
-		case cRegUnionLoadW:
-			// unions a clean load into dst: no-op by definition
-		case cStoreWReg, cStoreBReg, cMemUnionReg:
-			if tags[op.src] != taint.Empty {
-				return false
-			}
-		case cStoreWTag, cStoreBTag, cMemUnionTag:
-			if op.tag != taint.Empty {
-				return false
-			}
-		case cMemUnionLoadW, cMemCopyW, cMemCopyB:
-			// clean-to-clean memory moves: Empty over Empty
-		default:
-			return false // unknown op: never demote
-		}
-	}
+	cs.install(h, c, sh, &pages, nPg, tr.blocks[0].key)
 	return true
 }
 

@@ -2,21 +2,25 @@ package harrier
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/taint"
 )
 
-// FuzzTraceApply is the trace tier's differential oracle at the
-// multi-block level: a pseudo-random program with conditional and
-// unconditional branches runs once under the interpreter tier and once
-// with superblock traces compiled at every leader, from the same
-// concrete and taint state against one shared tag store. Both runs are
-// driven under the same step budget the scheduler would impose, so a
-// trace's budget exits, side exits and fault exits all land on the
-// comparison path. Registers, EIP, flags, retired steps and the fault
-// verdict must always match; register tags and the shadow window must
-// match whenever the program did not die mid-flight.
+// FuzzTraceApply is the trace tier's differential oracle: a
+// pseudo-random program with conditional and unconditional branches
+// runs once under the interpreter tier and once with superblock traces
+// compiled at every leader, from the same concrete and taint state
+// against one shared tag store. Both runs are driven under the same
+// step budget the scheduler would impose, so a trace's budget exits,
+// side exits and fault exits all land on the comparison path.
+// Registers, EIP, flags, retired steps and the fault verdict must
+// always match; register tags and the shadow window must match
+// whenever the program did not die mid-flight. Compilation itself
+// must be deterministic: compiling a leader twice yields the same
+// mops and the same clean-tier footprint.
 func FuzzTraceApply(f *testing.F) {
 	// A countdown loop: mov ecx,8; dec ecx; jnz back — the classic
 	// backward-predicted superblock with one final mispredict.
@@ -25,80 +29,111 @@ func FuzzTraceApply(f *testing.F) {
 		0x10, 0x01, 0x00, 0x00,
 		0x19, 0x00, 0x00, 0x01,
 	})
-	f.Add([]byte{0x02, 0x00, 0x00, 0x10, 0x18, 0x00, 0x00, 0x00})       // mov + jmp
-	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})       // alu + jz fwd
-	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})       // push/pop
+	f.Add([]byte{0x02, 0x00, 0x00, 0x10, 0x18, 0x00, 0x00, 0x00})                         // mov + jmp
+	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})                         // alu + jz fwd
+	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})                         // push/pop
 	f.Add([]byte{0x09, 0x11, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x1b, 0x02, 0x00, 0x00}) // div + cpuid + jcc
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		span := buildTraceFuzzSpan(data)
-		h := New(Config{Dataflow: true}, nil)
-
-		// Compile a trace at every leader that yields one and install it,
-		// exactly as the tier state machine would after promotion: the
-		// head must be the block's real compiled summary — the budget
-		// fallback applies it when a quantum can't fit the first block.
-		installed := 0
-		for i := range span.Instrs {
-			if span.BBLeader[i] != i {
-				continue
-			}
-			sum, ok := compileBlock(h.Store, span, i, h.binTag(span.Image), h.hwTag)
-			if !ok {
-				continue // unsummarizable blocks never reach the trace tier
-			}
-			head := &blockSummary{
-				Summary: *sum,
-				owner:   h,
-				ctr:     new(int64),
-				key:     bbKey{span.Image, span.Addr(i)},
-			}
-			if tr := h.compileTrace(span, i, head); tr != nil {
-				span.SetBBSummary(i, tr)
-				installed++
-			}
-		}
-		if installed == 0 {
-			return // nothing traceable: the comparison would be vacuous
-		}
-
-		const bound = 4096
-		cA := newFuzzCPU(span, h.Store, data)
-		cA.Hooks.OnInstr = h.trackDataFlow
-		cA.Hooks.OnInstrData = true
-		faultA := runBudgeted(cA, span, bound)
-
-		cB := newFuzzCPU(span, h.Store, data)
-		cB.Hooks.OnInstr = h.trackDataFlow
-		cB.Hooks.OnInstrData = true
-		cB.Hooks.OnBBSummary = h.onBBSummary
-		faultB := runBudgeted(cB, span, bound)
-
-		if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
-			cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
-			t.Fatalf("concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
-				"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v",
-				cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
-				cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
-		}
-		if faultA {
-			return // over-applied flows are unobservable after a fault
-		}
-		if cA.RegTags != cB.RegTags {
-			t.Fatalf("register tag divergence: interp %v, trace %v", cA.RegTags, cB.RegTags)
-		}
-		for addr := uint32(0); addr < 0x3000; addr++ {
-			if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
-				t.Fatalf("shadow divergence at %#x: interp tag%d, trace tag%d", addr, ta, tb)
-			}
-		}
+		diffTiers(t, buildTraceFuzzSpan(data), data)
 	})
 }
 
-// traceFuzzOps extends the straight-line generator's op set with the
-// control transfers the trace compiler chains across (or side-exits
-// through): every conditional jump plus JMP.
-var traceFuzzOps = [...]isa.Op{
+// diffTiers runs span once under the interpreter tier and once with a
+// trace installed at every leader that compiles, from the same
+// concrete and taint state derived from data, and fails t on any
+// observable divergence (see FuzzTraceApply). It also checks that
+// compiling span's leaders is deterministic.
+func diffTiers(t *testing.T, span *isa.Span, data []byte) {
+	t.Helper()
+	h := New(Config{Dataflow: true}, nil)
+
+	checkCompileDeterministic(t, span)
+	if installTraces(h, span) == 0 {
+		return // nothing traceable: the comparison would be vacuous
+	}
+
+	const bound = 4096
+	cA := newFuzzCPU(span, h.Store, data)
+	cA.Hooks.OnInstr = h.trackDataFlow
+	cA.Hooks.OnInstrData = true
+	faultA := runBudgeted(cA, span, bound)
+
+	cB := newFuzzCPU(span, h.Store, data)
+	cB.Hooks.OnInstr = h.trackDataFlow
+	cB.Hooks.OnInstrData = true
+	cB.Hooks.OnBBSummary = h.onBBSummary
+	faultB := runBudgeted(cB, span, bound)
+
+	if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
+		cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
+		t.Fatalf("concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
+			"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v",
+			cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
+			cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
+	}
+	if faultA {
+		return // over-applied flows are unobservable after a fault
+	}
+	if cA.RegTags != cB.RegTags {
+		t.Fatalf("register tag divergence: interp %v, trace %v", cA.RegTags, cB.RegTags)
+	}
+	for addr := uint32(0); addr < 0x3000; addr++ {
+		if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
+			t.Fatalf("shadow divergence at %#x: interp tag%d, trace tag%d", addr, ta, tb)
+		}
+	}
+}
+
+// installTraces compiles a trace at every leader of span that yields
+// one and installs it, exactly as the tier state machine would after
+// promotion, returning how many it installed.
+func installTraces(h *Harrier, span *isa.Span) int {
+	installed := 0
+	for i := range span.Instrs {
+		if span.BBLeader[i] != i {
+			continue
+		}
+		if tr := h.compileTrace(span, i, false); tr != nil {
+			span.SetBBSummary(i, tr)
+			installed++
+		}
+	}
+	return installed
+}
+
+// checkCompileDeterministic compiles every leader of span twice on a
+// Harrier with the clean tier armed (so footprints are derived too)
+// and requires identical results: the same mops, exit metadata, gate
+// key registers and footprint. The guarantee is what makes
+// re-promotion after an execve demotion (and re-pinning of shared
+// spans) sound. It returns how many leaders compiled and how many
+// would pin.
+func checkCompileDeterministic(t testing.TB, span *isa.Span) (compiled, pinned int) {
+	t.Helper()
+	h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+	for i := range span.Instrs {
+		if span.BBLeader[i] != i {
+			continue
+		}
+		tr1, tr2 := h.compileTrace(span, i, false), h.compileTrace(span, i, false)
+		if !reflect.DeepEqual(tr1, tr2) {
+			t.Fatalf("%s+%d: nondeterministic compile:\n--- first\n%+v\n--- second\n%+v", span.Image, i, tr1, tr2)
+		}
+		if tr1 == nil {
+			pinned++
+		} else {
+			compiled++
+		}
+	}
+	return compiled, pinned
+}
+
+// fuzzOps are the straight-line generator's opcodes: every
+// data-moving shape the trace compiler models, minus CALL (ends the
+// block mid-stream). DIVOP/MODOP stay in deliberately — their runtime
+// faults exercise the fault exit.
+var fuzzOps = []isa.Op{
 	isa.MOV, isa.MOVB, isa.LEA,
 	isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
 	isa.MUL, isa.DIVOP, isa.MODOP, isa.SHL, isa.SHR,
@@ -106,8 +141,14 @@ var traceFuzzOps = [...]isa.Op{
 	isa.CMP, isa.TEST, isa.NOP,
 	isa.PUSH, isa.POP,
 	isa.CPUID, isa.RDTSC,
-	isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE,
 }
+
+// traceFuzzOps is the multi-block generator's op set: fuzzOps plus the
+// control transfers the trace compiler chains across or side-exits
+// through: every conditional jump and JMP.
+var traceFuzzOps = append(fuzzOps[:len(fuzzOps):len(fuzzOps)],
+	isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE,
+)
 
 // buildTraceFuzzSpan decodes 4 bytes per instruction into a
 // multi-block program ending in HLT. Branch targets land on real
@@ -138,11 +179,8 @@ func buildTraceFuzzSpan(data []byte) *isa.Span {
 
 // runBudgeted drives the CPU the way vos.Run does: each Step sees the
 // remaining quantum in TraceBudget, so a trace can never retire past
-// the bound. After the bound it finishes the current block — across
-// tiers, taint state is only comparable at block boundaries, because
-// the summary tier applies a block's whole transfer atomically at
-// entry (a quantum expiring mid-block leaves it legitimately ahead of
-// the interpreter until the block completes, just as under vos.Run).
+// the bound. After the bound it finishes the current block, so both
+// runs stop at a block boundary, where the tiers are comparable.
 func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64) (faulted bool) {
 	step := func() (stop, faulted bool) {
 		err := c.Step()
@@ -171,4 +209,50 @@ func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64) (faulted bool) {
 		}
 	}
 	return false
+}
+
+// fuzzOperand decodes one operand: register, small immediate,
+// absolute memory, or base+displacement memory.
+func fuzzOperand(sel, disp byte) isa.Operand {
+	r := isa.Reg(sel & 7)
+	switch (sel >> 3) & 3 {
+	case 0:
+		return isa.R(r)
+	case 1:
+		return isa.Imm(uint32(disp) << 2)
+	case 2:
+		return isa.Operand{Kind: isa.MemOperand, Imm: 0x400 + uint32(disp)<<2}
+	}
+	return isa.Operand{Kind: isa.MemOperand, Reg: r, HasBase: true, Imm: uint32(disp) << 2}
+}
+
+// newFuzzCPU builds a CPU at the span's entry with a deterministic
+// initial state derived from the fuzz input: small register values
+// (so memory operands stay near the compared window), a sane stack
+// pointer, and a few seeded register and shadow tags.
+func newFuzzCPU(span *isa.Span, st *taint.Store, data []byte) *isa.CPU {
+	c := isa.NewCPU()
+	c.Code.Add(span)
+	c.EIP = span.Base
+	c.Shadow = taint.NewShadow(st)
+
+	t1 := st.Of(taint.Source{Type: taint.UserInput, Name: "stdin"})
+	t2 := st.Of(taint.Source{Type: taint.Socket, Name: "10.0.0.1:99"})
+	tags := [4]taint.Tag{taint.Empty, t1, t2, st.Union(t1, t2)}
+
+	var seed byte
+	for _, b := range data {
+		seed ^= b
+	}
+	for r := 0; r < int(isa.NumRegs); r++ {
+		c.Regs[r] = uint32(seed^byte(r*37)) << 3 // < 0x800
+		c.RegTags[r] = tags[(int(seed)+r)>>1&3]
+	}
+	c.Regs[isa.ESP] = 0x2800
+	c.RegTags[isa.ESP] = taint.Empty
+	for i := uint32(0); i < 8; i++ {
+		c.Shadow.SetWord(0x400+i*4, tags[(uint32(seed)+i)&3])
+		c.Mem.Store32(0x400+i*4, 0x11111111*i)
+	}
+	return c
 }

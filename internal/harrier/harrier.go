@@ -62,30 +62,23 @@ type Config struct {
 	TagWidthBudget int
 	// PromoteThreshold is the tiered taint engine's promotion point: a
 	// basic block whose frequency counter reaches it is compiled into a
-	// dataflow summary applied in one call per entry instead of one
-	// OnInstr dispatch per instruction (see summary.go / tier.go).
-	// 0 disables tiering — every block stays in the interpreter tier.
-	// Tiering requires both Dataflow and BBFrequency; detections and
-	// reported tag sets are bit-identical across tiers.
+	// superblock trace — hot blocks chained across predicted edges and
+	// executed (taint transfer fused with concrete semantics) in a
+	// single hook call, with a clean-taint gate that skips the transfer
+	// entirely while the trace's taint effect is provably stationary
+	// (see trace.go / tier.go). 0 disables tiering — every block stays
+	// in the interpreter tier. Tiering requires both Dataflow and
+	// BBFrequency; detections and reported tag sets are bit-identical
+	// across tiers.
 	PromoteThreshold int
-	// TraceThreshold is the second promotion point: a summarized block
-	// whose counter reaches it is compiled into a superblock trace —
-	// hot blocks chained across predicted edges and executed (taint
-	// transfer fused with concrete semantics) in a single hook call,
-	// with a clean-taint gate that skips the transfer entirely while
-	// the trace's taint effect is provably stationary (see trace.go).
-	// 0 disables the trace tier; blocks stop at the summary tier.
-	// Requires tiering (PromoteThreshold > 0) to be reachable at all.
-	TraceThreshold int
-	// CleanThreshold arms the fourth tier — taint-scoped partial
-	// instrumentation (see cleantier.go): a compiled block whose
-	// counter reaches it becomes a demotion candidate, running
-	// UNINSTRUMENTED (no shadow lookups, no transfer, no hooks)
-	// whenever its footprint pages and entry register tags are
-	// provably clean, and re-instrumenting the moment taint reaches
+	// CleanThreshold arms the clean tier — taint-scoped partial
+	// instrumentation (see cleantier.go): every trace entry probes it,
+	// running the trace UNINSTRUMENTED (no shadow lookups, no
+	// transfer) whenever its footprint pages and entry register tags
+	// are provably clean, and re-instrumenting the moment taint reaches
 	// its footprint (the shadow page-flip seam / vos taint-source
-	// seam). Traces probe the clean tier at every entry once armed.
-	// 0 disables the tier. Requires tiering (PromoteThreshold > 0).
+	// seam). 0 disables the tier; any positive value arms it. Requires
+	// tiering (PromoteThreshold > 0).
 	CleanThreshold int
 }
 
@@ -97,7 +90,6 @@ func DefaultConfig() Config {
 		CloneRateWindow:  20_000,
 		KeepEventLog:     true,
 		PromoteThreshold: 64,
-		TraceThreshold:   256,
 		CleanThreshold:   64,
 	}
 }
@@ -127,18 +119,16 @@ type Stats struct {
 	AccessEvents uint64 // resource-access events sent to Secpert
 	IOEvents     uint64 // I/O events sent to Secpert
 
-	// Tiered taint engine counters (see tier.go). TierHits is included
-	// in Blocks: a summary application counts the block entry exactly
-	// as the interpreter tier would.
-	TierPromoted uint64 // blocks compiled into summaries
-	TierPinned   uint64 // blocks found unmodelable, pinned to interpreter
-	TierDemoted  uint64 // summaries dropped by execve invalidation
-	TierHits     uint64 // block entries served by a summary
+	// TierHits is always 0: the engine has no block-summary tier (hot
+	// blocks promote straight to traces). The field stays for readers
+	// that still sum it into their tier shares.
+	TierHits uint64
 
-	// Trace tier counters (see trace.go). TraceHits is included in
-	// Blocks: each chained block entry inside a trace counts exactly as
-	// the interpreter tier would count it.
-	TraceCompiled    uint64 // superblock traces compiled
+	// Trace tier counters (see tier.go / trace.go). TraceHits is
+	// included in Blocks: each chained block entry inside a trace
+	// counts exactly as the interpreter tier would count it.
+	TraceCompiled    uint64 // hot blocks promoted into superblock traces
+	TierPinned       uint64 // hot blocks found untraceable, pinned to interpreter
 	TraceHits        uint64 // block entries served inside a trace
 	TraceSideExits   uint64 // trace runs ended by a mispredicted branch
 	GateSkips        uint64 // trace runs served by the clean-taint gate
@@ -146,8 +136,8 @@ type Stats struct {
 
 	// Clean tier counters (see cleantier.go). CleanHits is included in
 	// Blocks — a clean entry counts the block exactly as every other
-	// tier does — and is disjoint from TierHits/TraceHits: each block
-	// entry is credited to exactly one tier.
+	// tier does — and is disjoint from TraceHits: each block entry is
+	// credited to exactly one tier.
 	CleanDemoted   uint64 // clean verdicts proved and cached
 	CleanHits      uint64 // block entries served uninstrumented
 	Reinstrumented uint64 // clean verdicts flushed by taint reaching their footprint
@@ -196,17 +186,15 @@ type Harrier struct {
 	// tierThreshold caches Config.PromoteThreshold as the counter's
 	// type, non-zero only when the config combination supports tiering
 	// (Dataflow + BBFrequency). One int64 compare per block entry.
-	// traceThreshold is the same for Config.TraceThreshold, non-zero
-	// only when the summary tier underneath it is armed.
-	tierThreshold  int64
-	traceThreshold int64
-	// cleanThreshold caches Config.CleanThreshold the same way.
-	// cleanEpoch is the monitor-side invalidation clock of the clean
-	// tier: advanced by the vos taint-source seam and the shadow
-	// page-flip listener; cached clean verdicts snapshot it and
-	// re-validate their pages when it moves (see cleantier.go).
-	cleanThreshold int64
-	cleanEpoch     uint64
+	tierThreshold int64
+	// cleanOn records whether the clean tier is armed (a positive
+	// Config.CleanThreshold on a tiering configuration). cleanEpoch is
+	// the monitor-side invalidation clock of the clean tier: advanced
+	// by the vos taint-source seam and the shadow page-flip listener;
+	// cached clean verdicts snapshot it and re-validate their pages
+	// when it moves (see cleantier.go).
+	cleanOn    bool
+	cleanEpoch uint64
 
 	cloneCount int64
 	cloneTimes []uint64
@@ -249,12 +237,7 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 	}
 	if cfg.Dataflow && cfg.BBFrequency && cfg.PromoteThreshold > 0 {
 		h.tierThreshold = int64(cfg.PromoteThreshold)
-		if cfg.TraceThreshold > 0 {
-			h.traceThreshold = int64(cfg.TraceThreshold)
-		}
-		if cfg.CleanThreshold > 0 {
-			h.cleanThreshold = int64(cfg.CleanThreshold)
-		}
+		h.cleanOn = cfg.CleanThreshold > 0
 	}
 	return h
 }
@@ -340,7 +323,7 @@ func (h *Harrier) Started(p *vos.Process) {
 		hooks.OnBBSummary = h.onBBSummary
 	}
 	p.CPU.Hooks = hooks
-	if h.cleanThreshold > 0 && p.CPU.Shadow != nil {
+	if h.cleanOn && p.CPU.Shadow != nil {
 		p.CPU.Shadow.OnPageFlip(h.onPageFlip)
 	}
 }
@@ -356,7 +339,7 @@ func (h *Harrier) Forked(parent, child *vos.Process) {
 	}
 	// The child's shadow is a fresh Clone: listeners don't ride along,
 	// so the clean tier's flip seam must be re-installed per shadow.
-	if h.cleanThreshold > 0 && child.CPU.Shadow != nil {
+	if h.cleanOn && child.CPU.Shadow != nil {
 		child.CPU.Shadow.OnPageFlip(h.onPageFlip)
 	}
 }
@@ -420,7 +403,7 @@ func (h *Harrier) collectBBFrequency(c *isa.CPU, s *isa.Span, leader int) {
 	// moves subsequent entries onto the OnBBSummary path; an execve
 	// invalidation empties the slot and re-arms the trigger).
 	if h.tierThreshold > 0 && *ctr >= h.tierThreshold && s.BBSummary(leader) == nil {
-		h.maybePromote(c, s, leader, key, ctr)
+		h.maybePromote(c, s, leader, key)
 	}
 	if h.bus != nil && uint64(*ctr)&(bbRollQuantum-1) == 0 {
 		h.bus.Publish(obs.Event{

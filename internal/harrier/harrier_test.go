@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/guestlib"
+	"repro/internal/obs"
 	"repro/internal/secpert"
 	"repro/internal/taint"
 	"repro/internal/vos"
@@ -628,6 +629,48 @@ f: .asciz "/tmp/x"
 	st := w.h.Stats()
 	if st.Instructions == 0 || st.Blocks == 0 || st.AccessEvents == 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestTierTimerCleanEntriesRecordNoTraceTime pins tier-time
+// attribution to the tier that actually served each compiled entry: a
+// hot loop whose every trace entry runs on the clean tier must credit
+// execution time to the clean tier and none to the trace tier — and
+// with the clean tier off, the same loop's time goes to the trace
+// tier.
+func TestTierTimerCleanEntriesRecordNoTraceTime(t *testing.T) {
+	run := func(cleanThreshold int) (Stats, [3]int64) {
+		w := newWorld(t)
+		cfg := DefaultConfig()
+		cfg.CleanThreshold = cleanThreshold
+		w.h = New(cfg, w.sec)
+		tt := obs.NewTierTimer()
+		w.h.SetTierTimer(tt)
+		w.install(t, "/bin/spin", `
+.text
+_start:
+    mov ecx, 20000
+spin:
+    dec ecx
+    jnz spin
+    hlt
+`)
+		w.run(t, vos.ProcSpec{Path: "/bin/spin"})
+		return w.h.Stats(), tt.Flush()
+	}
+	st, ns := run(DefaultConfig().CleanThreshold)
+	if st.TraceCompiled == 0 || st.CleanHits == 0 || st.TraceHits != 0 {
+		t.Fatalf("want every compiled entry clean: %+v", st)
+	}
+	if ns[obs.TierTrace] != 0 || ns[obs.TierClean] <= 0 {
+		t.Errorf("tier time %v: want clean time and no trace time", ns)
+	}
+	st, ns = run(0)
+	if st.TraceHits == 0 || st.CleanHits != 0 {
+		t.Fatalf("want every compiled entry on the trace tier: %+v", st)
+	}
+	if ns[obs.TierTrace] <= 0 || ns[obs.TierClean] != 0 {
+		t.Errorf("clean tier off: tier time %v, want trace time and no clean time", ns)
 	}
 }
 

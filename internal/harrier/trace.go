@@ -6,27 +6,23 @@ import (
 	"repro/internal/taint"
 )
 
-// This file is the third execution tier of the tiered taint engine:
-// superblock traces. Where the summary tier (tier.go / summary.go)
-// replaces per-instruction dispatch with one taint-transfer call per
-// block and still lets the interpreter execute the block's
-// instructions, a trace goes the rest of the way: it chains hot blocks
-// across unconditional and predicted-conditional edges into one linear
-// sequence of fused micro-ops (mops) and *executes* them — taint
-// transfer and concrete semantics together — in a single hook call.
-// The interpreter's fetch/decode/hook loop disappears entirely for as
-// long as execution follows the traced path.
+// This file is the compiled tier of the taint engine: superblock
+// traces. A trace chains hot blocks across unconditional and
+// predicted-conditional edges into one linear sequence of fused
+// micro-ops (mops) and *executes* them — taint transfer and concrete
+// semantics together — in a single hook call. The interpreter's
+// fetch/decode/hook loop disappears entirely for as long as execution
+// follows the traced path.
 //
 // Each mop reproduces one guest instruction in the interpreter's
 // order: the Track_DataFlow transfer first (the OnInstr hook runs
 // before the instruction executes), then the concrete operation.
 // Conditional branches are evaluated against live flags; when the
 // actual direction disagrees with the traced direction the run side-
-// exits, leaving EIP at the untraced target so the interpreter (or a
-// summary, or another trace) picks up at a genuine block entry. Every
-// run of a trace therefore executes a *prefix* of the recorded path,
-// which is what makes the exit protocol and the clean-taint gate below
-// sound.
+// exits, leaving EIP at the untraced target so the interpreter (or
+// another trace) picks up at a genuine block entry. Every run of a
+// trace therefore executes a *prefix* of the recorded path, which is
+// what makes the exit protocol and the clean-taint gate below sound.
 //
 // The clean-taint gate is the dynamic form of the partial-
 // instrumentation observation (PAPERS.md, Thakur 2024): the vast
@@ -40,9 +36,9 @@ import (
 // effect can depend on: the shadow (identity and generation), the
 // entry tags of all eight registers, and the concrete entry values of
 // the registers that form taint-relevant addresses (found by running
-// the summary compiler's symbolic address domain over the whole path —
-// a trace whose taint addresses are not expressible as entry-register
-// + displacement is never gated). A later entry matching the key runs
+// the symbolic address domain of summary.go over the whole path — a
+// trace whose taint addresses are not expressible as entry-register +
+// displacement is never gated). A later entry matching the key runs
 // the *bare* variant — concrete execution only, no taint transfer at
 // all — up to the mop index the verify run covered. Prefix soundness:
 // each verified mop's transfer depends only on the keyed state, so
@@ -126,14 +122,14 @@ const (
 // is needed because mops run in program order.
 type mop struct {
 	code  mopCode
-	aop   uint8 // ALU/unary/compare opcode, or branch opcode for mBr
-	reg   uint8 // destination register (source for the MR store shapes)
-	reg2  uint8 // source register (RR shapes)
-	base  uint8 // A-side (destination) memory base; traceNoBase = absolute
-	base2 uint8 // B-side (source) memory base; traceNoBase = absolute
-	pred  bool  // mBr: the traced direction is "taken"
-	disp  uint32 // A-side displacement / RI immediate / mBr taken target / mBBEnter block index
-	disp2 uint32 // B-side displacement / MI immediate / mBr fall-through target
+	aop   uint8     // ALU/unary/compare opcode, or branch opcode for mBr
+	reg   uint8     // destination register (source for the MR store shapes)
+	reg2  uint8     // source register (RR shapes)
+	base  uint8     // A-side (destination) memory base; traceNoBase = absolute
+	base2 uint8     // B-side (source) memory base; traceNoBase = absolute
+	pred  bool      // mBr: the traced direction is "taken"
+	disp  uint32    // A-side displacement / RI immediate / mBr taken target / mBBEnter block index
+	disp2 uint32    // B-side displacement / MI immediate / mBr fall-through target
 	tag   taint.Tag // compile-time tag operand (BINARY of the owning image)
 }
 
@@ -175,16 +171,15 @@ type gateEnt struct {
 }
 
 // blockTrace is a compiled superblock trace, installed in the entry
-// leader's summary slot in place of its *blockSummary (which it keeps
-// as head, both for ownership checks and as the fallback when the
-// remaining quantum cannot fit even the first block).
+// leader's summary slot. blocks[0] is the head block the trace is
+// rooted at; owner is the Harrier that compiled it.
 type blockTrace struct {
-	head   *blockSummary
+	owner  *Harrier
 	mops   []mop
 	info   []mopInfo
 	blocks []traceBlock
 
-	// clean is the fourth-tier demotion state (see cleantier.go). Only
+	// clean is the clean-tier demotion state (see cleantier.go). Only
 	// initialized when the symbolic gate held for the whole path
 	// (gateOK), because the footprint is derived from the same
 	// entry-relative symbolic address stream.
@@ -224,8 +219,8 @@ func (op *mop) ea2(c *isa.CPU) uint32 {
 // --- trace compilation --------------------------------------------
 
 // traceCompiler walks the hot path from a head leader, chaining block
-// after block into the mop program. It carries the summary compiler's
-// symbolic address domain (sc) in parallel — not for emission, but to
+// after block into the mop program. It carries the symbolic address
+// domain of summary.go (sc) in parallel — not for emission, but to
 // decide clean-taint gate eligibility: the gate is sound only when
 // every taint-touching address of the whole path is expressible as
 // entry-register + displacement.
@@ -241,31 +236,10 @@ type traceCompiler struct {
 
 	sc     sumCompiler
 	gateOK bool
+	headOK bool
 
 	endEIP    uint32
 	endJumped bool
-}
-
-// maybeTrace compiles a superblock trace rooted at leader and
-// publishes the promotion event. It returns nil when the head block
-// yields no traceable prefix (the caller pins the attempt on the
-// summary so it is never retried).
-func (h *Harrier) maybeTrace(c *isa.CPU, s *isa.Span, leader int, head *blockSummary) *blockTrace {
-	tr := h.compileTrace(s, leader, head)
-	if tr == nil {
-		return nil
-	}
-	h.stats.TraceCompiled++
-	if h.bus != nil {
-		if p := procOf(c); p != nil {
-			h.bus.Publish(obs.Event{
-				Time: p.OS.Clock, Layer: obs.LayerHarrier, Kind: obs.KindBBTrace,
-				PID: int32(p.PID), Num: uint64(head.key.addr), Num2: uint64(len(tr.mops)),
-				Str: head.key.image,
-			})
-		}
-	}
-	return tr
 }
 
 // traceCtr resolves (or creates) the frequency counter of a chained
@@ -286,14 +260,16 @@ func (h *Harrier) traceCtr(key bbKey) *int64 {
 // un-followable terminal ends the path. The terminal is *not*
 // consumed: the trace exits with EIP on it and the interpreter
 // executes it with its ordinary hooks, so CALL/RET/INT/NATIVE/HLT
-// semantics never need replicating here.
-func (h *Harrier) compileTrace(s *isa.Span, leader int, head *blockSummary) *blockTrace {
-	bin := h.binTag(s.Image)
-	tc := &traceCompiler{h: h, s: s, bin: bin, gateOK: true}
-	tc.sc = sumCompiler{st: h.Store, bin: bin, hw: h.hwTag}
-	for r := range tc.sc.sym {
-		tc.sc.sym[r] = symVal{kind: symRegOff, reg: isa.Reg(r)}
-	}
+// semantics never need replicating here. It returns nil — and the
+// caller pins the block to the interpreter — when the head block
+// yields no traceable prefix, or touches memory through an address
+// the symbolic domain of summary.go cannot express (a pointer loaded
+// from memory, say), which neither the gate nor the clean tier could
+// ever skip. isApp records whether the span belongs to the
+// application image. Compilation is deterministic: the same span,
+// leader and store state yield the same trace.
+func (h *Harrier) compileTrace(s *isa.Span, leader int, isApp bool) *blockTrace {
+	tc := &traceCompiler{h: h, s: s, bin: h.binTag(s.Image), gateOK: true, headOK: true, sc: newSumCompiler()}
 
 	cur := leader
 	arrived := true // the head is always entered through the dispatch hook
@@ -312,7 +288,7 @@ walk:
 		mopStart := len(tc.mops)
 		key := bbKey{s.Image, s.Addr(cur)}
 		tc.blocks = append(tc.blocks, traceBlock{
-			ctr: h.traceCtr(key), key: key, isApp: head.isApp,
+			ctr: h.traceCtr(key), key: key, isApp: isApp,
 			entryJumped: arrived, instrs: blockN,
 		})
 		tc.emit(mop{code: mBBEnter, disp: uint32(bIdx)}, s.Addr(cur))
@@ -381,11 +357,11 @@ walk:
 		}
 		cur, arrived = last+1, false // fall-through into the next leader
 	}
-	if tc.steps == 0 {
+	if tc.steps == 0 || !tc.headOK {
 		return nil
 	}
 	tr := &blockTrace{
-		head: head, mops: tc.mops, info: tc.info, blocks: tc.blocks,
+		owner: h, mops: tc.mops, info: tc.info, blocks: tc.blocks,
 		nInstr: uint16(tc.steps), nData: uint16(tc.nData),
 		endEIP: tc.endEIP, endJumped: tc.endJumped,
 		gateOK: tc.gateOK,
@@ -394,10 +370,10 @@ walk:
 		// Footprint first: collectGateRegs may clear gateOK when the
 		// input set overflows, but the footprint derivation only needs
 		// the symbolic address stream, which held for the whole path.
-		if h.cleanThreshold > 0 {
-			tr.clean.initFootprint(tc.sc.ops)
+		if h.cleanOn {
+			tr.clean.initFootprint(tc.sc.acc)
 		}
-		tr.collectGateRegs(tc.sc.ops)
+		tr.collectGateRegs(tc.sc.acc)
 	}
 	return tr
 }
@@ -426,10 +402,12 @@ func (tc *traceCompiler) emit(m mop, addr uint32) {
 // scStep advances the symbolic address domain across one consumed
 // instruction; the first inexpressible address disables the gate for
 // the whole trace (the trace itself stays valid — it simply always
-// runs with full taint transfer).
+// runs with full taint transfer) — unless it lies in the head block,
+// which rejects the trace outright (see compileTrace).
 func (tc *traceCompiler) scStep(in *isa.Instr) {
 	if tc.gateOK && !tc.sc.instr(in) {
 		tc.gateOK = false
+		tc.headOK = len(tc.blocks) > 1
 	}
 }
 
@@ -591,30 +569,15 @@ func (tc *traceCompiler) instr(i int, in *isa.Instr) bool {
 	return true
 }
 
-// collectGateRegs extracts, from the symbolic pass's (discarded) op
-// list, the set of entry registers that form taint-relevant addresses
-// — the registers whose concrete values a gate entry must key on.
-// More than traceGateRegs distinct bases disables the gate.
-func (tr *blockTrace) collectGateRegs(ops []sumOp) {
+// collectGateRegs extracts, from the path's symbolic access summary,
+// the set of entry registers that form taint-relevant addresses — the
+// registers whose concrete values a gate entry must key on. More than
+// traceGateRegs distinct bases disables the gate.
+func (tr *blockTrace) collectGateRegs(acc []sumAccess) {
 	var mask uint32
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case cRegLoadW, cRegLoadB, cRegUnionLoadW:
-			if op.bBase != sumNoBase {
-				mask |= 1 << op.bBase
-			}
-		case cStoreWReg, cStoreWTag, cStoreBReg, cStoreBTag, cMemUnionReg, cMemUnionTag:
-			if op.aBase != sumNoBase {
-				mask |= 1 << op.aBase
-			}
-		case cMemUnionLoadW, cMemCopyW, cMemCopyB:
-			if op.aBase != sumNoBase {
-				mask |= 1 << op.aBase
-			}
-			if op.bBase != sumNoBase {
-				mask |= 1 << op.bBase
-			}
+	for _, a := range acc {
+		if a.base != sumNoBase {
+			mask |= 1 << a.base
 		}
 	}
 	for r := uint8(0); r < uint8(isa.NumRegs); r++ {
@@ -669,7 +632,7 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 		if h.tt != nil {
 			h.tt.Touch(obs.TierClean)
 		}
-		ex, _ := h.runTraceBare(c, tr, budget, len(tr.mops))
+		ex, _ := h.runTraceBare(c, tr, budget, len(tr.mops), 0)
 		// Clean-loop fusion: when the run lands back on this trace's
 		// own head (a self-looping hot loop), re-enter directly instead
 		// of surfacing to the fetch loop — per-entry dispatch is most
@@ -680,13 +643,15 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 		// moved, which is exactly what re-probing checks. Fusing only
 		// under a positive budget keeps Step's contract with unbounded
 		// callers: one trace entry per call. Every run retires at least
-		// one instruction, so the budget strictly decreases.
-		for budget > 0 && ex.fault == nil && ex.eip == tr.head.key.addr {
+		// one instruction, so the budget strictly decreases. Each fused
+		// run starts its clock (RDTSC values, event times) where the
+		// previous one stopped.
+		for budget > 0 && ex.fault == nil && ex.eip == tr.blocks[0].key.addr {
 			rem := budget - int(ex.steps)
 			if rem < tr.blocks[0].instrs || !h.cleanProbeTrace(c, tr) {
 				break
 			}
-			nx, _ := h.runTraceBare(c, tr, rem, len(tr.mops))
+			nx, _ := h.runTraceBare(c, tr, rem, len(tr.mops), ex.steps)
 			nx.steps += ex.steps
 			nx.nData += ex.nData
 			nx.nBlocks += ex.nBlocks
@@ -696,6 +661,9 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 			ex = nx
 		}
 		return h.finishTrace(c, tr, ex, false, 0, entVals, true)
+	}
+	if h.tt != nil {
+		h.tt.Touch(obs.TierTrace)
 	}
 	if tr.gateOK {
 		for k := 0; k < tr.nIn; k++ {
@@ -712,7 +680,7 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 		}
 		if hit >= 0 {
 			h.stats.GateSkips++
-			ex, cont := h.runTraceBare(c, tr, budget, tr.gate[hit].end)
+			ex, cont := h.runTraceBare(c, tr, budget, tr.gate[hit].end, 0)
 			if cont >= 0 {
 				// Bare mode ran past the verified prefix; finish the
 				// remainder with full taint transfer, keeping the bare
@@ -810,12 +778,12 @@ func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, verify b
 // tier would perform them. Only called when a recorder or bus is
 // attached — the mop loops otherwise keep block entry down to one
 // counter increment, with statistics batched at exit and last-app
-// attribution folded into finishTrace. consumed is the trace's
+// attribution folded into finishTrace. consumed is the dispatch's
 // retired-instruction count before this block, which keeps event
 // timestamps on the interpreter's clock.
 //
 //go:noinline
-func (h *Harrier) traceBlockEnter(c *isa.CPU, b *traceBlock, consumed uint16) {
+func (h *Harrier) traceBlockEnter(c *isa.CPU, b *traceBlock, consumed uint32) {
 	p := procOf(c)
 	if p == nil {
 		return
@@ -932,7 +900,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			nBlocks++
 			lastB = b
 			if observed {
-				h.traceBlockEnter(c, b, info[j].steps)
+				h.traceBlockEnter(c, b, uint32(info[j].steps))
 			}
 
 		case mBr:
@@ -1237,8 +1205,10 @@ func cmpFlags(aop uint8, a, b uint32) (zf, lt bool) {
 // transfer, never observability. Skipping the transfer is exact
 // because every skipped mop was proven a taint no-op for this exact
 // key (see the file comment); that includes a mop that faults here,
-// so even the fault path needs no tag work.
-func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex traceExit, cont int) {
+// so even the fault path needs no tag work. base is the number of
+// instructions this dispatch already retired in earlier fused runs
+// (see runTrace); it offsets the run's clock.
+func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int, base uint32) (ex traceExit, cont int) {
 	mem := c.Mem
 	zf, lt := c.ZF, c.LT
 	observed := h.prov != nil || h.bus != nil
@@ -1268,7 +1238,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			nBlocks++
 			lastB = b
 			if observed {
-				h.traceBlockEnter(c, b, info[j].steps)
+				h.traceBlockEnter(c, b, base+uint32(info[j].steps))
 			}
 
 		case mBr:
@@ -1429,7 +1399,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			if h.prov != nil {
 				h.provHardware(c, "rdtsc")
 			}
-			steps := c.Steps + uint64(info[j].steps)
+			steps := c.Steps + uint64(base) + uint64(info[j].steps)
 			c.Regs[isa.EAX] = uint32(steps)
 			c.Regs[isa.EDX] = uint32(steps >> 32)
 		}

@@ -42,28 +42,16 @@ type Native struct {
 type SummaryAction uint8
 
 const (
-	// SummaryDecline rejects the slot (foreign or stale summary); the
-	// interpreter-tier hooks run as usual.
+	// SummaryDecline rejects the slot (foreign or stale summary, or no
+	// room left in the quantum); the interpreter-tier hooks run as
+	// usual.
 	SummaryDecline SummaryAction = iota
-	// SummaryBlock accepts the block: the hook applied the whole
-	// block's instrumentation in one call, and OnBB/OnInstr are
-	// suppressed until the next block entry. The CPU still executes
-	// the block's instructions one by one.
-	SummaryBlock
 	// SummaryTrace means the hook *executed* guest instructions itself
 	// (a compiled superblock trace): it advanced EIP, Steps and the
 	// flags/registers/memory to the trace's exit point. Step returns
 	// immediately without fetching — the accompanying error, if any,
 	// is the guest fault the trace stopped on.
 	SummaryTrace
-	// SummaryClean accepts the block on the uninstrumented tier: the
-	// hook *proved* the block's whole dataflow transfer is a no-op
-	// against the current taint state (clean footprint, no live
-	// register tags to move), so it applied nothing at all. The fetch
-	// loop runs the block with concrete semantics only — OnBB/OnInstr
-	// stay suppressed exactly as for SummaryBlock, but no shadow
-	// lookup, tag union, or transfer ever happened for the block.
-	SummaryClean
 )
 
 // Hooks are the instrumentation points Harrier attaches to; all are
@@ -86,8 +74,7 @@ type Hooks struct {
 	// engine: when a block entry lands on a leader that carries a
 	// compiled summary (Span.BBSummary), the fetch loop offers it here
 	// instead of calling OnBB. The returned SummaryAction selects the
-	// tier: decline (interpreter hooks run as usual), accept the block
-	// (instrumentation applied, CPU executes normally), or a trace ran
+	// tier: decline (interpreter hooks run as usual) or a trace ran
 	// (the hook executed instructions itself; see CPU.TraceBudget).
 	// The error return accompanies SummaryTrace when the trace stopped
 	// on a guest fault, which Step propagates as its own.
@@ -133,7 +120,6 @@ type CPU struct {
 
 	Halted     bool
 	jumped     bool // last instruction transferred control
-	inSummary  bool // current block was accepted by OnBBSummary
 	pcOverride *uint32
 
 	// Sequential-fetch cursor: when the previous instruction fell
@@ -295,45 +281,33 @@ func (c *CPU) Step() error {
 
 	// Basic-block entry: the instruction is its block's leader, or
 	// control arrived here non-sequentially (paper §7.4). A leader
-	// carrying a compiled summary is offered to OnBBSummary first;
-	// acceptance covers the whole block, so the per-instruction hook
-	// below is suppressed until the next entry. Mid-block entries
-	// (computed jumps landing past the leader) never match metaLeader
-	// and always take the interpreter tier.
+	// carrying a compiled summary is offered to OnBBSummary first; a
+	// declined entry falls through to the interpreter-tier hooks.
+	// Mid-block entries (computed jumps landing past the leader) never
+	// match metaLeader and always take the interpreter tier.
 	if (m&metaLeader != 0 || c.jumped) && (c.Hooks.OnBB != nil || c.Hooks.OnBBSummary != nil) {
-		c.inSummary = false
 		if m&metaLeader != 0 && span.summaries != nil && c.Hooks.OnBBSummary != nil {
 			if sum := span.summaries[idx]; sum != nil {
-				act, terr := c.Hooks.OnBBSummary(c, span, idx, sum)
-				switch act {
-				case SummaryBlock, SummaryClean:
-					// Both cover the whole block — SummaryBlock because
-					// the hook applied its transfer up front, SummaryClean
-					// because the hook proved there is no transfer. Either
-					// way the block executes concretely, hooks suppressed.
-					c.inSummary = true
-				case SummaryTrace:
+				if act, terr := c.Hooks.OnBBSummary(c, span, idx, sum); act == SummaryTrace {
 					// The hook executed instructions itself: EIP, Steps,
 					// flags and the architectural state already sit at
 					// the trace's exit point. A non-nil error is a guest
 					// fault the trace stopped on, reported exactly as if
 					// the interpreter had executed the faulting
 					// instruction.
+					c.curOK = false
 					if terr != nil {
 						c.Halted = true
-						c.curOK = false
-						return terr
 					}
-					c.curOK = false
-					return nil
+					return terr
 				}
 			}
 		}
-		if !c.inSummary && c.Hooks.OnBB != nil {
+		if c.Hooks.OnBB != nil {
 			c.Hooks.OnBB(c, span, span.BBLeader[idx])
 		}
 	}
-	if c.Hooks.OnInstr != nil && (m&metaData != 0 || !c.Hooks.OnInstrData) && !c.inSummary {
+	if c.Hooks.OnInstr != nil && (m&metaData != 0 || !c.Hooks.OnInstrData) {
 		c.Hooks.OnInstr(c, span, idx)
 	}
 

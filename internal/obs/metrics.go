@@ -165,7 +165,7 @@ type Snapshot struct {
 	// Gauges: derived rates and end-of-run samples —
 	// "guest_instrs_per_sec", "taint.union_cache_hit_rate",
 	// "taint.tlb_hit_rate", the per-tier block shares
-	// "harrier.tier_share.{interp,summary,trace,clean}", plus every
+	// "harrier.tier_share.{interp,trace,clean}", plus every
 	// KindMetric sample by name.
 	Gauges map[string]float64 `json:"gauges"`
 	// Hists: discrete distributions, e.g. "taint.width" (taint-set
@@ -327,16 +327,14 @@ func (m *Metrics) Snapshot() *Snapshot {
 		s.Gauges["taint.tlb_hit_rate"] = float64(m.tlbProbes-m.tlbMisses) / float64(m.tlbProbes)
 	}
 	// Per-tier block shares: every retired block was credited to
-	// exactly one tier (summary, trace, clean — interpreter gets the
-	// remainder), so the four shares always sum to 1.
+	// exactly one tier (trace, clean — interpreter gets the
+	// remainder), so the three shares always sum to 1.
 	if blocks := m.gauges["harrier.blocks"]; blocks > 0 {
-		sum := m.gauges["harrier.tier.hits"]
 		tr := m.gauges["harrier.trace.hits"]
 		cl := m.gauges["harrier.clean.hits"]
-		s.Gauges["harrier.tier_share.summary"] = sum / blocks
 		s.Gauges["harrier.tier_share.trace"] = tr / blocks
 		s.Gauges["harrier.tier_share.clean"] = cl / blocks
-		s.Gauges["harrier.tier_share.interp"] = (blocks - sum - tr - cl) / blocks
+		s.Gauges["harrier.tier_share.interp"] = (blocks - tr - cl) / blocks
 	}
 	if len(m.hists) > 0 {
 		s.Hists = make(map[string][]Bucket, len(m.hists))

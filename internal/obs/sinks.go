@@ -177,12 +177,11 @@ type textSink struct {
 }
 
 // CLIPSText builds a sink that renders the expert engine's CLIPS-style
-// printout (rule-fire trace and warning text) to w — byte-identical to
-// what the deprecated Config.Verbose writer receives.
+// printout (rule-fire trace and warning text) to w.
 func CLIPSText(w io.Writer) Sink { return &textSink{w: w} }
 
-// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo —
-// byte-identical to Config.Verbose with Config.TraceAsserts set.
+// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo,
+// interleaved with the printout in the order the engine wrote it.
 func CLIPSTranscript(w io.Writer) Sink { return &textSink{w: w, asserts: true} }
 
 func (s *textSink) Event(e Event) {

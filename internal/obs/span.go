@@ -274,16 +274,15 @@ func WriteChromeSpans(w io.Writer, traces map[string][]Span, nowNS int64) error 
 // and name the per-tier child spans ("tier.interp", ...).
 const (
 	TierInterp = iota
-	TierSummary
 	TierTrace
 	TierClean
 	numTiers
 )
 
 // TierNames names the tiers in TierTimer bucket order.
-var TierNames = [numTiers]string{"interp", "summary", "trace", "clean"}
+var TierNames = [numTiers]string{"interp", "trace", "clean"}
 
-// TierTimer attributes execution wall time to the four engine tiers.
+// TierTimer attributes execution wall time to the engine tiers.
 // It samples the clock only at tier *transitions*, not per block: the
 // engine calls Touch(tier) on every block dispatch, and a dispatch
 // that stays on the current tier costs one integer compare. Runs that
@@ -322,12 +321,13 @@ func (t *TierTimer) switchTier(tier int32) {
 	t.cur, t.last = tier, now
 }
 
-// Flush closes out the running tier and returns the per-tier totals.
+// Flush closes out the running tier, stops the timer and returns the
+// per-tier totals. Flushing again returns the same totals; a later
+// Touch restarts the timer.
 func (t *TierTimer) Flush() [numTiers]int64 {
 	if t.cur >= 0 {
-		now := time.Since(t.base).Nanoseconds()
-		t.ns[t.cur] += now - t.last
-		t.last = now
+		t.ns[t.cur] += time.Since(t.base).Nanoseconds() - t.last
+		t.cur = -1
 	}
 	return t.ns
 }

@@ -151,13 +151,17 @@ func TestTierTimer(t *testing.T) {
 	tt := NewTierTimer()
 	tt.Touch(TierInterp)
 	time.Sleep(2 * time.Millisecond)
-	tt.Touch(TierSummary)
-	tt.Touch(TierSummary) // same-tier: no transition
-	time.Sleep(2 * time.Millisecond)
 	tt.Touch(TierTrace)
+	tt.Touch(TierTrace) // same-tier: no transition
+	time.Sleep(2 * time.Millisecond)
+	tt.Touch(TierInterp)
 	ns := tt.Flush()
-	if ns[TierInterp] <= 0 || ns[TierSummary] <= 0 {
+	if ns[TierInterp] <= 0 || ns[TierTrace] <= 0 {
 		t.Fatalf("touched tiers uncredited: %v", ns)
+	}
+	time.Sleep(time.Millisecond)
+	if again := tt.Flush(); again != ns {
+		t.Fatalf("flush did not stop the timer: %v, then %v", ns, again)
 	}
 	if ns[TierClean] != 0 {
 		t.Fatalf("untouched tier credited: %v", ns)

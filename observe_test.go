@@ -1,16 +1,17 @@
 // Tests for the observability API: functional options, the event bus
-// wired through every layer, sink composition, the CLIPS byte-identity
-// guarantee of the deprecated Verbose/TraceAsserts writers, and the
-// metrics registry surfaced in Result.Metrics.
+// wired through every layer, sink composition, the CLIPS transcript
+// golden, and the metrics registry surfaced in Result.Metrics.
 package hth_test
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	hth "repro"
 	"repro/internal/chaos"
+	"repro/internal/corpus"
 	"repro/internal/obs"
 )
 
@@ -96,64 +97,83 @@ func TestEventStreamShape(t *testing.T) {
 	}
 }
 
-// TestCLIPSTextByteIdentical is the satellite golden test: the
-// deprecated Verbose/TraceAsserts writers and the CLIPSText/
-// CLIPSTranscript observer sinks must render byte-identical output.
+// pmaTranscriptGolden holds the CLIPS transcript of the corpus's pma
+// scenario (paper Appendix A): every asserted event fact interleaved
+// with the rule-fire trace and warning printout. It pins the
+// CLIPSText/CLIPSTranscript sinks byte for byte.
+const pmaTranscriptGolden = "testdata/pma.transcript.golden"
+
+func readPMATranscript(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile(pmaTranscriptGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestCLIPSTextByteIdentical is the golden test of the CLIPS sinks:
+// CLIPSTranscript renders the pma transcript byte for byte, and
+// CLIPSText renders it without the assert echo lines.
 func TestCLIPSTextByteIdentical(t *testing.T) {
-	run := func(cfg hth.Config) *hth.Result {
-		res, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/trojan"})
-		if err != nil {
+	golden := readPMATranscript(t)
+	sc, ok := corpus.ByName("pma")
+	if !ok {
+		t.Fatal("pma scenario missing")
+	}
+	run := func(sink hth.Observer) {
+		if _, err := sc.RunWith(hth.WithObserver(sink)); err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
 
-	var legacy, sink bytes.Buffer
-	legacyCfg := hth.DefaultConfig()
-	legacyCfg.Verbose = &legacy
-	run(legacyCfg)
-	run(hth.NewConfig(hth.WithObserver(hth.CLIPSText(&sink))))
-	if legacy.String() != sink.String() {
-		t.Errorf("CLIPSText diverges from Verbose:\n--- Verbose ---\n%s--- CLIPSText ---\n%s",
-			legacy.String(), sink.String())
-	}
-	if !strings.Contains(sink.String(), "FIRE 1 check_execve") {
-		t.Errorf("no fire trace in output: %q", sink.String())
+	var tr bytes.Buffer
+	run(hth.CLIPSTranscript(&tr))
+	if tr.String() != golden {
+		t.Errorf("CLIPSTranscript diverges from the golden:\n--- golden ---\n%s--- sink ---\n%s", golden, tr.String())
 	}
 
-	var legacyTr, sinkTr bytes.Buffer
-	legacyCfg = hth.DefaultConfig()
-	legacyCfg.Verbose = &legacyTr
-	legacyCfg.TraceAsserts = true
-	run(legacyCfg)
-	run(hth.NewConfig(hth.WithObserver(hth.CLIPSTranscript(&sinkTr))))
-	if legacyTr.String() != sinkTr.String() {
-		t.Errorf("CLIPSTranscript diverges from Verbose+TraceAsserts:\n--- legacy ---\n%s--- sink ---\n%s",
-			legacyTr.String(), sinkTr.String())
+	var text bytes.Buffer
+	run(hth.CLIPSText(&text))
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(golden, "\n") {
+		if !strings.HasPrefix(line, "CLIPS> (assert") {
+			want.WriteString(line)
+		}
 	}
-	if !strings.Contains(sinkTr.String(), "CLIPS> (assert") {
-		t.Errorf("no assert echo in transcript: %q", sinkTr.String())
+	if text.String() != want.String() {
+		t.Errorf("CLIPSText diverges from the golden without asserts:\n--- want ---\n%s--- CLIPSText ---\n%s",
+			want.String(), text.String())
+	}
+	if !strings.Contains(text.String(), "FIRE 1 check_write") {
+		t.Errorf("no fire trace in output: %q", text.String())
 	}
 }
 
 // TestSessionHonorsTraceAsserts is the regression test for the bug
-// where NewSession dropped cfg.TraceAsserts: both Run and Session now
-// share runCore, so the assert echo must appear either way.
+// where NewSession dropped the assert echo: both Run and Session share
+// runCore, so a session renders the same transcript as a run.
 func TestSessionHonorsTraceAsserts(t *testing.T) {
+	sc, ok := corpus.ByName("pma")
+	if !ok {
+		t.Fatal("pma scenario missing")
+	}
+	sys := hth.NewSystem()
+	sc.Setup(sys)
 	var out bytes.Buffer
-	cfg := hth.DefaultConfig()
-	cfg.Verbose = &out
-	cfg.TraceAsserts = true
-
-	sn := trojanSystem().NewSession(cfg)
-	if _, err := sn.Start(hth.RunSpec{Path: "/bin/trojan"}); err != nil {
+	cfg := hth.NewConfig(hth.WithObserver(hth.CLIPSTranscript(&out)))
+	if sc.Tweak != nil {
+		sc.Tweak(&cfg)
+	}
+	sn := sys.NewSession(cfg)
+	if _, err := sn.Start(sc.Spec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sn.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "CLIPS> (assert") {
-		t.Errorf("session dropped TraceAsserts; verbose output = %q", out.String())
+	if golden := readPMATranscript(t); out.String() != golden {
+		t.Errorf("session transcript diverges from the golden:\n--- golden ---\n%s--- session ---\n%s", golden, out.String())
 	}
 }
 

@@ -43,12 +43,12 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 func Sampling(n int, sink Observer) Observer { return obs.Sampling(n, sink) }
 
 // CLIPSText returns an Observer rendering Secpert's CLIPS-style fire
-// trace and warning printout to w — byte-identical to what the
-// deprecated Config.Verbose writer receives.
+// trace and warning printout to w.
 func CLIPSText(w io.Writer) Observer { return obs.CLIPSText(w) }
 
-// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo —
-// byte-identical to Config.Verbose with Config.TraceAsserts set.
+// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo: every
+// event fact asserted into the expert system, interleaved with the
+// fire trace.
 func CLIPSTranscript(w io.Writer) Observer { return obs.CLIPSTranscript(w) }
 
 // Option mutates a Config under construction; see NewConfig.
@@ -110,39 +110,6 @@ func WithDeadline(d time.Duration) Option {
 // disables the cap).
 func WithMaxOpenFDs(n int) Option {
 	return func(c *Config) { c.MaxOpenFDs = n }
-}
-
-// WithTierThreshold sets the hot-block promotion threshold of the
-// tiered taint engine: a basic block whose execution counter reaches n
-// is compiled into a dataflow summary and leaves the per-instruction
-// interpreter tier. Zero keeps every block in the interpreter tier
-// (the pre-tiering behaviour); detections are bit-identical either
-// way, only throughput changes.
-func WithTierThreshold(n int) Option {
-	return func(c *Config) { c.Monitor.PromoteThreshold = n }
-}
-
-// WithTraceThreshold sets the second promotion threshold of the tiered
-// taint engine: a summarized block whose execution counter reaches n is
-// compiled into a superblock trace — chained hot blocks executed in one
-// hook call with a clean-taint fast path. Zero disables the trace tier
-// and caps blocks at the summary tier; detections are bit-identical
-// either way, only throughput changes.
-func WithTraceThreshold(n int) Option {
-	return func(c *Config) { c.Monitor.TraceThreshold = n }
-}
-
-// WithCleanTier sets the demotion threshold of the clean tier, the
-// fourth execution tier: a compiled block or trace whose counter
-// reaches n and whose entire memory footprint resolves to taint-free
-// shadow pages is proven to transfer nothing and runs uninstrumented —
-// no shadow lookups, no tag unions, no per-instruction hooks. Taint
-// arriving at a footprint page (a zero→nonzero shadow page flip, or a
-// taint-source syscall) re-instruments affected blocks before their
-// next entry, so detections are bit-identical with the tier on or off;
-// only throughput changes. Zero disables the tier.
-func WithCleanTier(n int) Option {
-	return func(c *Config) { c.Monitor.CleanThreshold = n }
 }
 
 // WithObserver attaches one or more observers to the run's event bus.

@@ -1,7 +1,6 @@
 package hth
 
 import (
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -44,8 +43,7 @@ type runCore struct {
 // instruction/wall/descriptor budgets, the event bus (attached to
 // every layer, or detached when no observers are configured), the
 // chaos injector, and — unless Unmonitored — a fresh Secpert+Harrier
-// pair with both the legacy Verbose/TraceAsserts writers and the bus
-// text taps wired.
+// pair with the bus text taps wired.
 func newRunCore(s *System, cfg Config) *runCore {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 50_000_000
@@ -172,36 +170,15 @@ func (rc *runCore) abort() {
 	}
 }
 
-// wireSecpert connects the expert engine's text output. The deprecated
-// Config.Verbose/TraceAsserts writers and the bus taps receive the
-// same Write calls through one MultiWriter, which is what makes the
-// CLIPSText/CLIPSTranscript sinks byte-identical to the legacy path.
+// wireSecpert connects the expert engine's text output to the bus,
+// where the CLIPSText/CLIPSTranscript sinks render it.
 func (rc *runCore) wireSecpert() {
-	var out, echo io.Writer
-	if rc.cfg.Verbose != nil {
-		out = rc.cfg.Verbose
-		if rc.cfg.TraceAsserts {
-			echo = rc.cfg.Verbose
-		}
+	if rc.bus == nil {
+		return
 	}
-	if rc.bus != nil {
-		out = tee(out, obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecText))
-		echo = tee(echo, obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecAssert))
-		rc.sec.SetBus(rc.bus)
-	}
-	if out != nil {
-		rc.sec.SetOutput(out)
-	}
-	if echo != nil {
-		rc.sec.SetAssertEcho(echo)
-	}
-}
-
-func tee(a, b io.Writer) io.Writer {
-	if a == nil {
-		return b
-	}
-	return io.MultiWriter(a, b)
+	rc.sec.SetOutput(obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecText))
+	rc.sec.SetAssertEcho(obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecAssert))
+	rc.sec.SetBus(rc.bus)
 }
 
 // start launches one program under this core's monitor (if any),
@@ -241,6 +218,11 @@ func (rc *runCore) start(spec RunSpec) (*vos.Process, error) {
 // closes the bus, and snapshots the first attached Metrics registry
 // into Result.Metrics.
 func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *Result {
+	if rc.tt != nil {
+		// Stop tier attribution where the caller's wall measurement
+		// ended, so Result assembly below is not credited to a tier.
+		rc.tt.Flush()
+	}
 	os := rc.sys.OS
 	res := &Result{
 		Console:    append([]byte(nil), os.Console...),
@@ -353,10 +335,7 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 			{"harrier.blocks", st.Blocks},
 			{"harrier.access_events", st.AccessEvents},
 			{"harrier.io_events", st.IOEvents},
-			{"harrier.tier.promoted", st.TierPromoted},
 			{"harrier.tier.pinned", st.TierPinned},
-			{"harrier.tier.demoted", st.TierDemoted},
-			{"harrier.tier.hits", st.TierHits},
 			{"harrier.tier.trace_demoted", st.TierTraceDemoted},
 			{"harrier.trace.compiled", st.TraceCompiled},
 			{"harrier.trace.hits", st.TraceHits},
@@ -374,7 +353,7 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 	}
 	if rc.tt != nil {
 		// Per-tier execution wall time, as attributed by the TierTimer.
-		// All four gauges are always published (even when zero) so a
+		// Every tier's gauge are always published (even when zero) so a
 		// span-armed run's event count stays deterministic.
 		ns := rc.tt.Flush()
 		for i, name := range obs.TierNames {

@@ -31,13 +31,14 @@ go run ./cmd/hth-bench -chaos 0xC0FFEE,0.05 -parallel 4 >/dev/null
 make soak
 # Fuzz smoke: the chaos plan parser must never panic on hostile specs.
 go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
-# Trace-tier gates: the full corpus must be bit-identical with traces
-# on and off (crossed with provenance), and the multi-block trace
-# oracle gets a fuzz smoke beyond its checked-in corpus.
+# Trace-tier gates: the full corpus must be bit-identical on the
+# interpreter tier alone and with traces (crossed with provenance),
+# and the trace oracle gets a fuzz smoke beyond its checked-in corpus.
 go test -run TestTraceDifferentialSweep -count=1 ./internal/corpus
 go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
-# Clean-tier gates: the corpus must be bit-identical with the clean
-# tier off and on, the page-flip re-instrumentation seam holds under
+# Clean-tier gates: the corpus must be bit-identical on the
+# interpreter tier alone and with traces, the clean tier off and on,
+# the page-flip re-instrumentation seam holds under
 # the chaos-delayed recv regression, and the mid-run taint-injection
 # oracle gets a fuzz smoke (see Makefile `clean-tier`).
 make clean-tier

@@ -342,7 +342,7 @@ type JobResult struct {
 }
 
 // TierMix is the execution-tier mix of a monitored run: how many
-// block entries each tier of the taint engine served. The four shares
+// block entries each tier of the taint engine served. The three shares
 // partition Blocks — every entry is credited to exactly one tier — so
 // fleet views can aggregate mixes by plain addition. Reinstrumented
 // counts clean-tier verdicts flushed because taint reached their
@@ -351,7 +351,6 @@ type JobResult struct {
 type TierMix struct {
 	Blocks         uint64 `json:"blocks"`
 	Interp         uint64 `json:"interp"`
-	Summary        uint64 `json:"summary"`
 	Trace          uint64 `json:"trace"`
 	Clean          uint64 `json:"clean"`
 	Reinstrumented uint64 `json:"reinstrumented,omitempty"`
@@ -361,8 +360,7 @@ type TierMix struct {
 func tierMixOf(st harrier.Stats) TierMix {
 	return TierMix{
 		Blocks:         st.Blocks,
-		Interp:         st.Blocks - st.TierHits - st.TraceHits - st.CleanHits,
-		Summary:        st.TierHits,
+		Interp:         st.Blocks - st.TraceHits - st.CleanHits,
 		Trace:          st.TraceHits,
 		Clean:          st.CleanHits,
 		Reinstrumented: st.Reinstrumented,
@@ -373,7 +371,6 @@ func tierMixOf(st harrier.Stats) TierMix {
 func (m *TierMix) add(o TierMix) {
 	m.Blocks += o.Blocks
 	m.Interp += o.Interp
-	m.Summary += o.Summary
 	m.Trace += o.Trace
 	m.Clean += o.Clean
 	m.Reinstrumented += o.Reinstrumented
@@ -399,9 +396,10 @@ type JobHandle struct {
 	dropped atomic.Uint64
 	spans   *obs.SpanRecorder
 
-	mu    sync.Mutex
-	state string // "queued" → "running" → terminal Status
-	res   *JobResult
+	mu      sync.Mutex
+	state   string // "queued" → "running" → terminal Status
+	res     *JobResult
+	settled bool // a terminal state won settle; res lands at release
 }
 
 func newHandle(id, tenant string, shard int, stream bool) *JobHandle {
@@ -480,15 +478,26 @@ func (h *JobHandle) push(u JobUpdate) {
 	}
 }
 
-// settle installs the terminal result exactly once, reporting whether
-// this call won (drain/retry races may offer two endings; the first
-// sticks).
-func (h *JobHandle) settle(r *JobResult) bool {
+// settle claims the job's terminal state exactly once, reporting
+// whether this call won (drain/retry races may offer two endings; the
+// first sticks). The result is not visible yet: the winner records the
+// job's rollups and lifecycle event first and then calls release, so a
+// caller that sees the result — through Wait, Done, Result or Status —
+// always finds its own job in Health() and Metrics().
+func (h *JobHandle) settle() bool {
 	h.mu.Lock()
-	if h.res != nil {
-		h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.settled {
 		return false
 	}
+	h.settled = true
+	return true
+}
+
+// release installs the terminal result, wakes the job's waiters and
+// closes its update stream; called once, by settle's winner.
+func (h *JobHandle) release(r *JobResult) {
+	h.mu.Lock()
 	r.DroppedUpdates = h.dropped.Load()
 	h.res = r
 	h.state = r.Status
@@ -497,7 +506,6 @@ func (h *JobHandle) settle(r *JobResult) bool {
 		close(h.updates)
 	}
 	close(h.done)
-	return true
 }
 
 // job is the internal unit of work: the spec, the handle, the derived
@@ -1006,8 +1014,9 @@ func (s *Service) finishAborted(j *job) {
 }
 
 // complete settles the handle (first terminal state wins), collects
-// the job's injected faults, publishes the lifecycle event, and
-// refreshes the shard's health gauges.
+// the job's injected faults, records its latency and tier mix,
+// publishes the lifecycle event, refreshes the shard's health gauges,
+// and only then releases the job's waiters.
 func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	if j.inj != nil {
 		r.ServiceFaults = s.collectFaults(j.inj)
@@ -1020,7 +1029,7 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	j.rec.EndSpan(j.qspan, code)
 	j.rec.EndSpan(j.espan, code)
 	j.rec.EndSpan(j.root, code)
-	if !j.h.settle(r) {
+	if !j.h.settle() {
 		return false
 	}
 	s.publishJobLatency(j, r)
@@ -1047,6 +1056,7 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
 		Str: j.h.tenant, Str2: code, Num: uint64(j.h.shard), Num2: uint64(j.shed)})
 	s.publishShardGauges(sh)
+	j.h.release(r)
 	return true
 }
 

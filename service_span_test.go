@@ -259,6 +259,50 @@ loop: jmp loop
 	drainService(t, s)
 }
 
+// slowLatencySink stalls on every latency observation. Observers sit
+// in front of the service's own metrics registry on its bus, so the
+// stall widens the window in which a job's rollups are still being
+// recorded.
+type slowLatencySink struct{}
+
+func (slowLatencySink) Event(e obs.Event) {
+	if e.Kind == obs.KindJobLatency {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (slowLatencySink) Close() error { return nil }
+
+// TestServiceHealthCountsWaitedJobs is the waiter-race regression
+// test: a job's latency observations and tier mix are recorded before
+// its waiters are released, so Health() read straight after Wait
+// always includes the job just waited on — however slowly the
+// recording goes.
+func TestServiceHealthCountsWaitedJobs(t *testing.T) {
+	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1,
+		Observers: []hth.Observer{slowLatencySink{}}})
+	var blocks uint64
+	for n := uint64(1); n <= 8; n++ {
+		h, err := s.Submit(trojanSpec("acme"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := waitJob(t, h)
+		if res.Status != "done" || res.TierMix == nil {
+			t.Fatalf("job %d: status %q, tier mix %v", n, res.Status, res.TierMix)
+		}
+		blocks += res.TierMix.Blocks
+		hs := s.Health()
+		if got := hs.Latency["e2e"].Count; got != n {
+			t.Fatalf("after %d waits the e2e rollup counts %d jobs", n, got)
+		}
+		if hs.TierMix.Blocks != blocks {
+			t.Fatalf("after %d waits the fleet tier mix holds %d blocks, want %d", n, hs.TierMix.Blocks, blocks)
+		}
+	}
+	drainService(t, s)
+}
+
 // TestServiceHealthLatencyRollups pins the /healthz SLO plane: after a
 // completed job, the health snapshot carries queue/exec/e2e quantile
 // rollups and a deadline-burn p95, all positive and ordered.

@@ -99,7 +99,7 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	}
 	m := *res.TierMix
 	if m.Blocks != batch.Stats.Blocks ||
-		m.Interp+m.Summary+m.Trace+m.Clean != m.Blocks {
+		m.Interp+m.Trace+m.Clean != m.Blocks {
 		t.Errorf("tier mix %+v does not partition %d blocks", m, batch.Stats.Blocks)
 	}
 	if hm := s.Health().TierMix; hm != m {
