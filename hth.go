@@ -253,8 +253,9 @@ func (r *Result) Report() string {
 // A System is not safe for concurrent runs: Run (and Session.Wait)
 // reconfigure and execute the one underlying scheduler, so a second
 // concurrent call returns ErrSystemBusy instead of racing. Distinct
-// Systems share no mutable state; run as many as you like in
-// parallel (one per job is the service and corpus-sweep discipline).
+// Systems share the immutable guest libc.so and ld-linux.so images but
+// no mutable state; run as many as you like in parallel (one per job
+// is the service and corpus-sweep discipline).
 type System struct {
 	// OS is the underlying virtual machine, exposed for advanced
 	// setups (scheduled connections, extra hosts).
@@ -266,7 +267,9 @@ type System struct {
 }
 
 // NewSystem creates a guest world with libc.so and ld-linux.so
-// installed.
+// installed. Every System installs the same immutable images of the
+// two libraries, assembled once per process; Systems share those
+// images but no mutable state.
 func NewSystem() *System {
 	os := vos.New(vos.Options{})
 	guestlib.InstallInto(os)

@@ -12,6 +12,8 @@
 package guestlib
 
 import (
+	"sync"
+
 	"repro/internal/asm"
 	"repro/internal/image"
 	"repro/internal/isa"
@@ -285,14 +287,26 @@ _dl_start:
 _dl_ident: .asciz "ld-linux.so.2"
 `
 
-// Libc assembles a fresh libc.so image.
+// images assembles the guest libraries once per process: every guest
+// world installs the same two images.
+var images = sync.OnceValues(func() (libc, ld *image.Image) {
+	return asm.MustAssemble(LibcName, LibcSrc), asm.MustAssemble(LdName, LdSrc)
+})
+
+// Libc returns the process-wide libc.so image. It is shared by every
+// guest world and is immutable: the loader copies text before
+// relocating it and only reads data and symbols, so callers must not
+// modify it either.
 func Libc() *image.Image {
-	return asm.MustAssemble(LibcName, LibcSrc)
+	libc, _ := images()
+	return libc
 }
 
-// Ld assembles a fresh ld-linux.so image.
+// Ld returns the process-wide ld-linux.so image, shared and immutable
+// like Libc's.
 func Ld() *image.Image {
-	return asm.MustAssemble(LdName, LdSrc)
+	_, ld := images()
+	return ld
 }
 
 // Natives returns the host implementations of libc's native routines.
@@ -303,11 +317,12 @@ func Natives() map[string]func(*isa.CPU) {
 	}
 }
 
-// InstallInto installs libc.so and ld-linux.so into the OS filesystem
-// and registers their native routines.
+// InstallInto installs the shared libc.so and ld-linux.so images into
+// the OS filesystem and registers their native routines.
 func InstallInto(os *vos.OS) {
-	os.FS.Install(LibcName, Libc())
-	os.FS.Install(LdName, Ld())
+	libc, ld := images()
+	os.FS.Install(LibcName, libc)
+	os.FS.Install(LdName, ld)
 	for name, fn := range Natives() {
 		os.Natives[name] = fn
 	}

@@ -58,14 +58,14 @@ func (h *Harrier) trackDataFlow(c *isa.CPU, s *isa.Span, idx int) {
 		c.RegTags[isa.ECX] = h.hwTag
 		c.RegTags[isa.EDX] = h.hwTag
 		if h.prov != nil {
-			h.provHardware(c, "cpuid")
+			h.provHardware(c, "cpuid", 0)
 		}
 
 	case isa.RDTSC:
 		c.RegTags[isa.EAX] = h.hwTag
 		c.RegTags[isa.EDX] = h.hwTag
 		if h.prov != nil {
-			h.provHardware(c, "rdtsc")
+			h.provHardware(c, "rdtsc", 0)
 		}
 
 	case isa.CMP, isa.TEST, isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE,

@@ -100,13 +100,16 @@ func (h *Harrier) provRead(p *vos.Process, sc *vos.SyscallCtx, src taint.Source)
 }
 
 // provHardware records the explicit entry of hardware-produced data
-// (CPUID/RDTSC outputs).
-func (h *Harrier) provHardware(c *isa.CPU, what string) {
+// (CPUID/RDTSC outputs). consumed is the number of instructions the
+// current dispatch retired before this one — 0 in the interpreter, the
+// instruction's offset inside a compiled trace — so the entry carries
+// the instruction's own time, not the dispatch's.
+func (h *Harrier) provHardware(c *isa.CPU, what string, consumed uint32) {
 	p := procOf(c)
 	if p == nil {
 		return
 	}
-	now, pid := p.OS.Clock, int32(p.PID)
+	now, pid := p.OS.Clock+uint64(consumed), int32(p.PID)
 	for _, id := range h.provIDsOf(h.hwTag, now, pid) {
 		h.prov.Entry(id, now, pid, what)
 	}

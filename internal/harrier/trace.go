@@ -1145,7 +1145,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 				}
 			}
 			if h.prov != nil {
-				h.provHardware(c, "cpuid")
+				h.provHardware(c, "cpuid", uint32(info[j].steps)-1)
 			}
 			c.Regs[isa.EAX] = 0x48544853
 			c.Regs[isa.EBX] = 0x696D5543
@@ -1161,7 +1161,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 				dirty = true
 			}
 			if h.prov != nil {
-				h.provHardware(c, "rdtsc")
+				h.provHardware(c, "rdtsc", uint32(info[j].steps)-1)
 			}
 			steps := c.Steps + uint64(info[j].steps)
 			c.Regs[isa.EAX] = uint32(steps)
@@ -1389,7 +1389,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int, base
 			// Tag writes were proven no-ops (the registers already carry
 			// HARDWARE); the provenance entry still fires.
 			if h.prov != nil {
-				h.provHardware(c, "cpuid")
+				h.provHardware(c, "cpuid", base+uint32(info[j].steps)-1)
 			}
 			c.Regs[isa.EAX] = 0x48544853
 			c.Regs[isa.EBX] = 0x696D5543
@@ -1397,7 +1397,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int, base
 			c.Regs[isa.EDX] = 0x726F2121
 		case mRdtsc:
 			if h.prov != nil {
-				h.provHardware(c, "rdtsc")
+				h.provHardware(c, "rdtsc", base+uint32(info[j].steps)-1)
 			}
 			steps := c.Steps + uint64(base) + uint64(info[j].steps)
 			c.Regs[isa.EAX] = uint32(steps)

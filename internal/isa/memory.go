@@ -1,17 +1,22 @@
 package isa
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"maps"
+)
 
 // Memory is a sparse, paged, little-endian 32-bit guest address space.
 // Reads from unmapped pages return zero; writes allocate pages on
-// demand. Every process owns one Memory; fork() clones it.
+// demand. Every process owns one Memory; fork() clones it
+// copy-on-write: parent and child share every page until one of them
+// first writes it, and that write gives the writer its own copy.
 //
 // The hot paths mirror taint.Shadow's: 32-bit accesses that stay
 // inside one page are a single page lookup plus one 4-byte move, and
 // a small software TLB short-circuits the page map for the local
 // access streams the §9 benchmarks show.
 type Memory struct {
-	pages map[uint32]*memPage
+	pages map[uint32]memSlot
 
 	// Software TLB, direct-mapped by the low page-index bits: a copy
 	// kernel alternating between a source and a destination page — the
@@ -20,9 +25,14 @@ type Memory struct {
 	tlb [memTLBWays]memTLBEnt
 }
 
+// memTLBEnt caches one page resolution. Any valid slot serves reads;
+// only a writable slot serves writes, and a slot is writable exactly
+// when this address space owns the page — so the write fast path
+// needs no ownership test of its own.
 type memTLBEnt struct {
-	idx  uint32
-	page *memPage
+	idx      uint32
+	page     *memPage
+	writable bool
 }
 
 const (
@@ -36,9 +46,20 @@ type memPage struct {
 	data [memPageSize]byte
 }
 
+// memSlot is one page-table entry. owned says this address space may
+// write the page in place; Clone clears it on both sides, and each
+// side's first write replaces the shared page with a private copy.
+// Ownership lives here rather than in the page so a page stays exactly
+// 4 KiB of pointer-free data: one allocation size class, never scanned
+// by the garbage collector.
+type memSlot struct {
+	page  *memPage
+	owned bool
+}
+
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*memPage)}
+	return &Memory{pages: make(map[uint32]memSlot)}
 }
 
 // page resolves a page index through the TLB, returning nil when the
@@ -48,23 +69,32 @@ func (m *Memory) page(idx uint32) *memPage {
 	if e.page != nil && e.idx == idx {
 		return e.page
 	}
-	p := m.pages[idx]
-	if p != nil {
-		e.idx, e.page = idx, p
+	sl := m.pages[idx]
+	if sl.page != nil {
+		e.idx, e.page, e.writable = idx, sl.page, sl.owned
 	}
-	return p
+	return sl.page
 }
 
-// pageAlloc resolves a page index, allocating the page on demand.
+// pageAlloc resolves a page index for a write, allocating the page on
+// demand and copying a shared one. The result is always a page this
+// address space owns, cached in a writable TLB slot.
 func (m *Memory) pageAlloc(idx uint32) *memPage {
-	if p := m.page(idx); p != nil {
-		return p
-	}
-	p := &memPage{}
-	m.pages[idx] = p
 	e := &m.tlb[idx&(memTLBWays-1)]
-	e.idx, e.page = idx, p
-	return p
+	if e.writable && e.idx == idx {
+		return e.page
+	}
+	sl := m.pages[idx]
+	if !sl.owned {
+		p := &memPage{}
+		if sl.page != nil {
+			p.data = sl.page.data
+		}
+		sl = memSlot{page: p, owned: true}
+		m.pages[idx] = sl
+	}
+	e.idx, e.page, e.writable = idx, sl.page, true
+	return sl.page
 }
 
 // Load8 reads one byte.
@@ -108,7 +138,7 @@ func (m *Memory) Store32(addr uint32, v uint32) {
 		idx := addr >> memPageShift
 		e := &m.tlb[idx&(memTLBWays-1)]
 		p := e.page
-		if p == nil || e.idx != idx {
+		if !e.writable || e.idx != idx {
 			p = m.pageAlloc(idx)
 		}
 		binary.LittleEndian.PutUint32(p.data[off:off+4], v)
@@ -187,21 +217,26 @@ func (m *Memory) WriteCString(addr uint32, s string) uint32 {
 	return uint32(len(s)) + 1
 }
 
-// Clone returns a deep copy of the address space (fork()). The clone
-// starts with a cold page cache.
+// Clone returns a copy-on-write copy of the address space (fork()).
+// Both sides share every page and own none of them, and the parent's
+// TLB slots stop serving writes; the first write either side makes to
+// a shared page copies it. The clone starts with a cold page cache.
 func (m *Memory) Clone() *Memory {
-	out := NewMemory()
-	for idx, p := range m.pages {
-		cp := &memPage{}
-		cp.data = p.data
-		out.pages[idx] = cp
+	for idx, sl := range m.pages {
+		if sl.owned {
+			m.pages[idx] = memSlot{page: sl.page}
+		}
 	}
-	return out
+	for i := range m.tlb {
+		m.tlb[i].writable = false
+	}
+	return &Memory{pages: maps.Clone(m.pages)}
 }
 
-// Reset drops all pages (execve()).
+// Reset drops all pages (execve()). Pages still shared with a fork
+// relative are dropped without being copied.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint32]*memPage)
+	m.pages = make(map[uint32]memSlot)
 	m.tlb = [memTLBWays]memTLBEnt{}
 }
 

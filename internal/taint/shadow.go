@@ -1,5 +1,7 @@
 package taint
 
+import "maps"
+
 // Shadow is a sparse tag map mirroring a guest address space. Pages
 // are allocated on first tainted write; reading an unallocated page
 // yields Empty. This matches Harrier's design where the data
@@ -22,6 +24,10 @@ package taint
 // map for the overwhelmingly local access streams the benchmarks
 // show; it is invalidated whenever the page table is replaced
 // (Reset) and never shared with Clones.
+//
+// Clone (fork) is copy-on-write: parent and child share every page
+// until one of them first writes it, and that write gives the writer
+// its own copy, carrying the page's tags, mode and population.
 type Shadow struct {
 	store *Store
 	pages map[uint32]*shadowPage
@@ -30,10 +36,14 @@ type Shadow struct {
 	// results — an untainted working set resolves every access to
 	// "unallocated", and caching that verdict keeps the hot path off
 	// the page map entirely. pageAlloc refreshes the entry when it
-	// materializes a negatively-cached page.
-	tlbIdx   uint32
-	tlbPage  *shadowPage
-	tlbValid bool
+	// materializes a negatively-cached page. tlbIdx is the cached
+	// index for reads; tlbWIdx is the same index when the entry may
+	// also serve writes — the cached page is absent or owned by this
+	// shadow — so the write fast path needs no ownership test of its
+	// own. noPage in either marks it empty.
+	tlbIdx  uint32
+	tlbWIdx uint32
+	tlbPage *shadowPage
 
 	// TLB effectiveness counters (hits = probes - misses). Plain
 	// increments on the page-resolution path; read via TLBStats.
@@ -64,6 +74,7 @@ type Shadow struct {
 }
 
 const (
+	noPage    = ^uint32(0) // no page has this index (indices are 20 bits)
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
@@ -83,6 +94,10 @@ type shadowPage struct {
 	// flip locally and report which page flipped.
 	idx uint32
 	pop int32
+
+	// owner is the shadow that may write the page in place; a page
+	// shared between fork relatives has no owner.
+	owner *Shadow
 }
 
 // degrade switches the page to byte mode, expanding each word tag to
@@ -171,22 +186,62 @@ func (sh *Shadow) pageFlipped(p *shadowPage) {
 
 // NewShadow returns an empty shadow map backed by the given store.
 func NewShadow(store *Store) *Shadow {
-	return &Shadow{store: store, pages: make(map[uint32]*shadowPage)}
+	return &Shadow{store: store, pages: make(map[uint32]*shadowPage), tlbIdx: noPage, tlbWIdx: noPage}
 }
 
 // Store returns the tag store this shadow resolves tags against.
 func (sh *Shadow) Store() *Store { return sh.store }
 
 // page resolves a page index through the TLB, returning nil when the
-// page is unallocated.
+// page is unallocated. A refill here leaves the entry read-only, and
+// the first write through it upgrades it out of line (wpageMiss):
+// testing ownership here would stop Get from inlining.
 func (sh *Shadow) page(idx uint32) *shadowPage {
 	sh.tlbProbes++
-	if sh.tlbValid && sh.tlbIdx == idx {
+	if sh.tlbIdx == idx {
 		return sh.tlbPage
 	}
 	sh.tlbMisses++
 	p := sh.pages[idx]
-	sh.tlbIdx, sh.tlbPage, sh.tlbValid = idx, p, true
+	sh.tlbIdx, sh.tlbWIdx, sh.tlbPage = idx, noPage, p
+	return p
+}
+
+// wpage resolves a page index for a write, returning nil when the
+// page is unallocated. A page still shared with a fork relative is
+// replaced by a private copy first, so the result is always one this
+// shadow owns.
+func (sh *Shadow) wpage(idx uint32) *shadowPage {
+	sh.tlbProbes++
+	if sh.tlbWIdx == idx {
+		return sh.tlbPage
+	}
+	return sh.wpageMiss(idx)
+}
+
+// wpageMiss is wpage's TLB refill, including the copy of a shared
+// page; kept out of line so wpage's probe inlines into every writer.
+//
+//go:noinline
+func (sh *Shadow) wpageMiss(idx uint32) *shadowPage {
+	if sh.tlbIdx == idx && (sh.tlbPage == nil || sh.tlbPage.owner == sh) {
+		// A read filled the entry: the page is absent or already ours,
+		// so the entry may serve writes as it stands.
+		sh.tlbWIdx = idx
+		return sh.tlbPage
+	}
+	sh.tlbMisses++
+	p := sh.pages[idx]
+	if p != nil && p.owner != sh {
+		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop, owner: sh}
+		if p.bytes != nil {
+			b := *p.bytes
+			cp.bytes = &b
+		}
+		p = cp
+		sh.pages[idx] = p
+	}
+	sh.tlbIdx, sh.tlbWIdx, sh.tlbPage = idx, idx, p
 	return p
 }
 
@@ -196,14 +251,12 @@ func (sh *Shadow) TLBStats() (probes, misses uint64) {
 	return sh.tlbProbes, sh.tlbMisses
 }
 
-// pageAlloc resolves a page index, allocating the page on demand.
+// pageAlloc allocates the page at an index wpage just reported
+// unallocated.
 func (sh *Shadow) pageAlloc(idx uint32) *shadowPage {
-	if p := sh.page(idx); p != nil {
-		return p
-	}
-	p := &shadowPage{idx: idx}
+	p := &shadowPage{idx: idx, owner: sh}
 	sh.pages[idx] = p
-	sh.tlbIdx, sh.tlbPage, sh.tlbValid = idx, p, true
+	sh.tlbIdx, sh.tlbWIdx, sh.tlbPage = idx, idx, p
 	return p
 }
 
@@ -219,7 +272,7 @@ func (sh *Shadow) Get(addr uint32) Tag {
 // Set assigns the tag of the byte at addr. Setting Empty on an
 // unallocated page is a no-op (no page is created).
 func (sh *Shadow) Set(addr uint32, t Tag) {
-	p := sh.page(addr >> pageShift)
+	p := sh.wpage(addr >> pageShift)
 	if p == nil {
 		if t == Empty {
 			return
@@ -261,7 +314,7 @@ func (sh *Shadow) SetWord(addr uint32, t Tag) {
 		sh.SetRange(addr, 4, t) // crosses a page boundary
 		return
 	}
-	p := sh.page(addr >> pageShift)
+	p := sh.wpage(addr >> pageShift)
 	if p == nil {
 		if t == Empty {
 			return
@@ -289,7 +342,7 @@ func (sh *Shadow) SetRange(addr, n uint32, t Tag) {
 		if chunk > n {
 			chunk = n
 		}
-		p := sh.page(idx)
+		p := sh.wpage(idx)
 		if p == nil {
 			if t != Empty {
 				p = sh.pageAlloc(idx)
@@ -384,23 +437,24 @@ func (sh *Shadow) Copy(dst, src, n uint32) {
 	}
 }
 
-// Clone returns a deep copy of the shadow map sharing the same store.
-// Used by fork(): the child inherits the parent's taint state. The
-// clone starts with a cold page cache.
+// Clone returns a copy-on-write copy of the shadow map sharing the
+// same store. Used by fork(): the child inherits the parent's taint
+// state. Both sides share every page, which now has no owner, and the
+// parent's TLB entry stops serving writes; the first write either side
+// makes to a shared page copies it. The clone starts with a cold page
+// cache and no page-flip listener.
 func (sh *Shadow) Clone() *Shadow {
-	out := NewShadow(sh.store)
-	for idx, p := range sh.pages {
-		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop}
-		if p.bytes != nil {
-			b := *p.bytes
-			cp.bytes = &b
+	for _, p := range sh.pages {
+		if p.owner == sh {
+			p.owner = nil
 		}
-		out.pages[idx] = cp
 	}
-	out.gen = sh.gen
-	out.pop = sh.pop
-	out.flipGen = sh.flipGen
-	return out
+	sh.tlbWIdx = noPage
+	return &Shadow{
+		store: sh.store, pages: maps.Clone(sh.pages),
+		tlbIdx: noPage, tlbWIdx: noPage,
+		gen: sh.gen, pop: sh.pop, flipGen: sh.flipGen,
+	}
 }
 
 // ClearRange resets n bytes starting at addr to Empty. Unallocated
@@ -410,10 +464,11 @@ func (sh *Shadow) ClearRange(addr, n uint32) {
 }
 
 // Reset drops all pages, returning the shadow to the untainted state.
-// Used by execve(), which replaces the address space.
+// Used by execve(), which replaces the address space. Pages still
+// shared with a fork relative are dropped without being copied.
 func (sh *Shadow) Reset() {
 	sh.pages = make(map[uint32]*shadowPage)
-	sh.tlbPage, sh.tlbValid = nil, false
+	sh.tlbIdx, sh.tlbWIdx, sh.tlbPage = noPage, noPage, nil
 	sh.gen++ // the observable tag state changed wholesale
 	sh.pop = 0
 	// Belt and braces: dropping every page can only make pages cleaner,

@@ -193,3 +193,124 @@ func TestIntrospectionBadAddr(t *testing.T) {
 		t.Errorf("error does not mention introspection: %v", err)
 	}
 }
+
+// hwLoopSrc reads CPUID and RDTSC inside a hot loop, neither at the
+// loop head, and writes the hardware values to a hardcoded file. The
+// loop keeps its counter in memory and zeroes every register before
+// the back edge, so no source is live in a register at a block entry:
+// the HARDWARE chain is made of entry hops alone, each stamped with
+// its instruction's time.
+const hwLoopSrc = `
+.text
+_start:
+    mov [count], 12
+loop:
+    nop
+    cpuid
+    mov [buf], eax
+    rdtsc
+    mov [buf+4], eax
+    xor eax, eax
+    xor ebx, ebx
+    xor ecx, ecx
+    xor edx, edx
+    dec [count]
+    cmp [count], 0
+    jnz loop
+` + hwWriteOut
+
+// hwCleanLoopSrc is the clean-tier variant: the loop only re-reads the
+// hardware into registers that already carry HARDWARE, so its taint
+// transfer is a proven no-op and the trace runs uninstrumented, with
+// consecutive runs fused into one dispatch.
+const hwCleanLoopSrc = `
+.text
+_start:
+    mov esi, 300
+    cpuid
+    rdtsc
+loop:
+    nop
+    cpuid
+    nop
+    rdtsc
+    dec esi
+    cmp esi, 0
+    jnz loop
+    mov [buf], eax
+    mov [buf+4], edx
+` + hwWriteOut
+
+// hwWriteOut writes buf to a hardcoded file and exits.
+const hwWriteOut = `
+    mov ebx, path
+    mov eax, 8          ; creat
+    int 0x80
+    mov ebx, eax
+    mov ecx, buf
+    mov edx, 8
+    mov eax, 4          ; write the hardware values
+    int 0x80
+    mov ebx, 0
+    mov eax, 1
+    int 0x80
+.data
+count: .space 4
+buf:   .space 8
+path:  .asciz "hw.log"
+`
+
+// TestHardwareProvenanceTimeInTrace: the hardware entry hops a
+// compiled trace records — instrumented or clean — must carry the
+// same instruction times as the interpreter's, so a warning's chains
+// are identical with and without trace promotion. In the clean leg
+// sources stay live in registers across blocks, and block hops a trace
+// records are marked "(tier)" and merge only with each other; that leg
+// compares the HARDWARE chain alone, with the marker dropped.
+func TestHardwareProvenanceTimeInTrace(t *testing.T) {
+	untier := strings.NewReplacer(" (tier)", "", "(tier ×", "(×")
+	for _, leg := range []struct {
+		name, src string
+		clean     bool
+	}{
+		{"trace", hwLoopSrc, false},
+		{"clean", hwCleanLoopSrc, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			chains := func(promote int) (string, *hth.Result) {
+				sys := hth.NewSystem()
+				sys.MustInstallSource("/bin/hwloop", leg.src)
+				cfg := hth.NewConfig(hth.WithProvenance())
+				cfg.Monitor.PromoteThreshold = promote
+				res, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/hwloop"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []string
+				for _, w := range res.Warnings {
+					for _, ch := range w.Chain {
+						if !leg.clean || strings.HasPrefix(ch, "HARDWARE:") {
+							out = append(out, ch)
+						}
+					}
+				}
+				return strings.Join(out, "\n"), res
+			}
+			interp, _ := chains(0)
+			traced, res := chains(1)
+			if hits := res.Stats.TraceHits + res.Stats.CleanHits; hits == 0 || leg.clean && res.Stats.CleanHits == 0 {
+				t.Fatalf("trace hits %d, clean hits %d: the comparison is vacuous",
+					res.Stats.TraceHits, res.Stats.CleanHits)
+			}
+			if !strings.Contains(interp, "cpuid @t=") || !strings.Contains(interp, "rdtsc @t=") {
+				t.Fatalf("no hardware entry hops in the chains: %q", interp)
+			}
+			if leg.clean {
+				traced = untier.Replace(traced)
+			}
+			if traced != interp {
+				t.Errorf("chains differ with traces on:\n  interpreter: %q\n  traced:      %q", interp, traced)
+			}
+		})
+	}
+}

@@ -16,29 +16,45 @@ func TestConcurrentIndependentSystems(t *testing.T) {
 	const goroutines = 8
 	const iterations = 3
 
-	ref := runTrojanOnce(t)
-	var wg sync.WaitGroup
-	results := make([][]string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iterations; i++ {
-				results[g] = runTrojanOnce(t)
+	for _, leg := range []struct {
+		name string
+		run  func(*testing.T) []string
+	}{
+		{"trojan", runTrojanOnce},
+		// Every System installs the same process-wide libc.so image;
+		// this leg has the loader read it from every goroutine at once
+		// and runs system() (fork + exec) and gethostbyname through it.
+		{"libc", runLibcOnce},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			ref := leg.run(t)
+			if len(ref) == 0 {
+				t.Fatal("reference run raised no warning")
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g, warnings := range results {
-		if len(warnings) != len(ref) {
-			t.Errorf("goroutine %d: %d warnings, want %d", g, len(warnings), len(ref))
-			continue
-		}
-		for i := range warnings {
-			if warnings[i] != ref[i] {
-				t.Errorf("goroutine %d warning %d: %q != %q", g, i, warnings[i], ref[i])
+			var wg sync.WaitGroup
+			results := make([][]string, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < iterations; i++ {
+						results[g] = leg.run(t)
+					}
+				}(g)
 			}
-		}
+			wg.Wait()
+			for g, warnings := range results {
+				if len(warnings) != len(ref) {
+					t.Errorf("goroutine %d: %d warnings, want %d", g, len(warnings), len(ref))
+					continue
+				}
+				for i := range warnings {
+					if warnings[i] != ref[i] {
+						t.Errorf("goroutine %d warning %d: %q != %q", g, i, warnings[i], ref[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -46,7 +62,50 @@ func runTrojanOnce(t *testing.T) []string {
 	sys := hth.NewSystem()
 	sys.MustInstallSource("/bin/ls", lsSrc)
 	sys.MustInstallSource("/bin/trojan", trojanSrc)
-	res, err := sys.Run(hth.DefaultConfig(), hth.RunSpec{Path: "/bin/trojan"})
+	return runWarnings(t, sys, "/bin/trojan")
+}
+
+// libcUserSrc resolves a hardcoded host through libc's gethostbyname,
+// writes the address to a hardcoded file, and then runs a command
+// through libc's system().
+const libcUserSrc = `
+.import "libc.so"
+.text
+_start:
+    mov ebx, host
+    call gethostbyname
+    cmp eax, 0
+    jz done
+    mov esi, eax
+    mov ebx, path
+    mov eax, 8          ; creat
+    int 0x80
+    mov ebx, eax
+    mov ecx, esi
+    mov edx, 8
+    mov eax, 4          ; write the resolved address
+    int 0x80
+    mov ebx, cmd
+    call system
+done:
+    mov ebx, 0
+    call exit
+.data
+host: .asciz "update.example"
+path: .asciz "hosts.cache"
+cmd:  .asciz "/bin/ls -l"
+`
+
+func runLibcOnce(t *testing.T) []string {
+	sys := hth.NewSystem()
+	sys.AddHost("update.example", "10.0.0.7")
+	sys.MustInstallSource("/bin/sh", lsSrc)
+	sys.MustInstallSource("/bin/libcuser", libcUserSrc)
+	return runWarnings(t, sys, "/bin/libcuser")
+}
+
+func runWarnings(t *testing.T, sys *hth.System, path string) []string {
+	res, err := sys.Run(hth.DefaultConfig(), hth.RunSpec{Path: path})
 	if err != nil {
 		t.Errorf("run: %v", err)
 		return nil

@@ -16,6 +16,13 @@
 #      regressions such as an unconditional publish on the hot path.
 #      For precise deltas, A/B the benchmark against main on a quiet
 #      machine with HTH_BENCHGATE_BASELINE/HTH_BENCHGATE_TOLERANCE.
+#   3. allocs/op and B/op ceilings for the real workload (deterministic):
+#      the Table 4 and Table 6 corpus benchmarks are mostly per-job
+#      fixed cost — building the guest world, loading, fork, Secpert —
+#      so their allocation counts pin that cost. The ceilings are
+#      constants below, set ≤10% above the measurement taken when they
+#      were last lowered; re-assembling the guest libc per job or
+#      copying every page on fork blows through them.
 #
 # Knobs (environment):
 #   HTH_BENCHGATE_BASELINE   baseline guest-instrs/s (default: the
@@ -86,6 +93,53 @@ echo "$out" | awk -v best=0 -v allocs=0 -v base="$baseline" -v tol="$tolerance" 
             exit 1
         }
         print "benchgate: OK"
+    }'
+
+# Real-workload allocation ceilings (see 3. above): benchmark, allocs/op
+# ceiling, B/op ceiling.
+tableceilings='BenchmarkTable4ExecutionFlow 1600 640000
+BenchmarkTable6InformationFlow 11000 3720000'
+tout=$(go test -run '^$' -bench 'BenchmarkTable(4ExecutionFlow|6InformationFlow)$' -benchmem \
+    -benchtime 20x .)
+echo "$tout"
+
+echo "$tout" | awk -v ceilings="$tableceilings" '
+    BEGIN {
+        n = split(ceilings, lines, "\n")
+        for (i = 1; i <= n; i++) {
+            split(lines[i], f, " ")
+            maxallocs[f[1]] = f[2]
+            maxbytes[f[1]] = f[3]
+        }
+    }
+    /^Benchmark/ {
+        name = $1
+        sub(/-[0-9]+$/, "", name)
+        for (i = 1; i < NF; i++) {
+            if ($(i + 1) == "allocs/op")
+                allocs[name] = $i + 0
+            if ($(i + 1) == "B/op")
+                bytes[name] = $i + 0
+        }
+    }
+    END {
+        fail = 0
+        for (name in maxallocs) {
+            if (!(name in allocs)) {
+                printf "benchgate: no allocation figures for %s\n", name
+                fail = 1
+                continue
+            }
+            printf "benchgate: %s allocs/op %d (ceiling %d), B/op %d (ceiling %d)\n",
+                name, allocs[name], maxallocs[name], bytes[name], maxbytes[name]
+            if (allocs[name] > maxallocs[name] || bytes[name] > maxbytes[name]) {
+                printf "benchgate: FAIL — %s per-job allocation regressed\n", name
+                fail = 1
+            }
+        }
+        if (fail)
+            exit 1
+        print "benchgate: table allocations OK"
     }'
 
 # Clean-tier floor: the sparse-taint workload (taint present but never
