@@ -157,7 +157,7 @@ func (c *Clips) evalAssert(f *sexpr, b *Bindings) (*Fact, error) {
 	// template check; wrap explicitly when the template says multi.
 	if t, ok := c.Eng.templates[tmpl]; ok {
 		for name, v := range slots {
-			if sd, ok := t.slot(name); ok && sd.Multi {
+			if i, ok := t.index[name]; ok && t.slots[i].Multi {
 				if _, isList := Norm(v).([]Value); !isList {
 					slots[name] = []Value{Norm(v)}
 				}

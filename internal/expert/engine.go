@@ -3,7 +3,8 @@ package expert
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -15,7 +16,9 @@ type Rule struct {
 	Salience int
 	Patterns []Pattern
 	// Tests run after all patterns matched, over the bindings
-	// (CLIPS test conditional elements).
+	// (CLIPS test conditional elements). They must be pure: they may
+	// not touch the engine or keep b, which is the engine's match
+	// stack.
 	Tests []func(b *Bindings) bool
 	// Action fires with the matched bindings.
 	Action func(ctx *Context, b *Bindings)
@@ -59,18 +62,17 @@ func (fr FireRecord) String() string {
 }
 
 type activation struct {
-	rule *Rule
+	rule *compiledRule
 	ids  []int
-	b    *Bindings
+	b    Bindings
 	seq  int // recency: assertion sequence that created it
 }
 
-func activationKey(rule string, ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprint(id)
-	}
-	return rule + "|" + strings.Join(parts, ",")
+// compiledRule is a Rule with its patterns resolved at DefRule.
+type compiledRule struct {
+	*Rule
+	pats   []compiledPattern
+	hasNeg bool // some pattern is a negative conditional element
 }
 
 // Engine is the inference engine: working memory + rules + agenda.
@@ -85,71 +87,101 @@ type Engine struct {
 	// the record joins the fire trace and before the rule action runs.
 	OnFire func(FireRecord)
 
-	templates map[string]*Template
-	rules     []*Rule
+	templates map[string]*tmpl
+	rules     []*compiledRule
 	facts     map[int]*Fact
-	order     []int // fact ids in assertion order
+	order     []*Fact // assertion order, so ascending ids
 	nextFact  int
 	seq       int
 
 	agenda []*activation
-	fired  map[string]bool // refraction memory
+	// fired is the refraction memory, keyed by refractionKey. Fact
+	// ids are never reused before Reset, so a key naming a retracted
+	// fact can never match again: Retract drops it (Fact.keys).
+	fired map[string]bool
 
 	trace   []FireRecord
 	fireSeq int
+
+	// Match scratch owned by join. It is safe to share because join
+	// is never re-entered: rule tests are pure, and actions (which may
+	// Assert and so join) run from Run, never from inside a join.
+	stack Bindings // bindings of the candidate tuple being extended
+	ids   []int    // its positive-pattern fact ids, in pattern order
+	key   []byte   // refraction key buffer (join, and Run between actions)
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
 		Out:       io.Discard,
-		templates: make(map[string]*Template),
+		templates: make(map[string]*tmpl),
 		facts:     make(map[int]*Fact),
 		fired:     make(map[string]bool),
 	}
 }
 
-// DefTemplate registers a template.
+// DefTemplate registers a template. t must not change afterwards.
 func (e *Engine) DefTemplate(t *Template) error {
 	if _, dup := e.templates[t.Name]; dup {
 		return fmt.Errorf("expert: duplicate template %q", t.Name)
 	}
-	e.templates[t.Name] = t
+	ct, err := compileTemplate(t)
+	if err != nil {
+		return err
+	}
+	e.templates[t.Name] = ct
 	return nil
 }
 
-// DefRule registers a rule. Existing facts are immediately eligible.
+// DefRule registers a rule, rejecting patterns over an undefined
+// template or a slot their template lacks. Existing facts are
+// immediately eligible.
 func (e *Engine) DefRule(r *Rule) error {
 	for _, other := range e.rules {
 		if other.Name == r.Name {
 			return fmt.Errorf("expert: duplicate rule %q", r.Name)
 		}
 	}
-	for _, p := range r.Patterns {
-		if _, ok := e.templates[p.Template]; !ok {
+	cr := &compiledRule{Rule: r, pats: make([]compiledPattern, len(r.Patterns))}
+	for i, p := range r.Patterns {
+		t, ok := e.templates[p.Template]
+		if !ok {
 			return fmt.Errorf("expert: rule %q uses undefined template %q", r.Name, p.Template)
 		}
+		cp := compiledPattern{t: t, binder: p.Binder, negated: p.Negated,
+			matches: make([]slotMatch, len(p.Matches))}
+		for j, sm := range p.Matches {
+			idx, ok := t.index[sm.Slot]
+			if !ok {
+				return fmt.Errorf("expert: rule %q: template %q has no slot %q", r.Name, p.Template, sm.Slot)
+			}
+			cp.matches[j] = slotMatch{idx: idx, m: sm.M}
+		}
+		cr.pats[i] = cp
+		cr.hasNeg = cr.hasNeg || p.Negated
 	}
-	e.rules = append(e.rules, r)
+	e.rules = append(e.rules, cr)
 	// Activate against current working memory.
-	e.activateRule(r, -1)
+	e.join(cr, -1)
 	return nil
 }
 
 // Assert adds a fact, validating slots against the template and
-// applying defaults, then computes new activations.
+// applying defaults, then computes new activations. The slot map is
+// not retained.
 func (e *Engine) Assert(template string, slots map[string]Value) (*Fact, error) {
 	t, ok := e.templates[template]
 	if !ok {
 		return nil, fmt.Errorf("expert: assert of undefined template %q", template)
 	}
-	full := make(map[string]Value, len(t.Slots))
 	for name := range slots {
-		if _, ok := t.slot(name); !ok {
+		if _, ok := t.index[name]; !ok {
 			return nil, fmt.Errorf("expert: template %q has no slot %q", template, name)
 		}
 	}
-	for _, sd := range t.Slots {
+	vals := make([]Value, len(t.slots))
+	for i, sd := range t.slots {
 		v, present := slots[sd.Name]
 		if !present {
 			v = sd.Default
@@ -163,57 +195,46 @@ func (e *Engine) Assert(template string, slots map[string]Value) (*Fact, error) 
 				return nil, fmt.Errorf("expert: slot %s.%s is a multislot", template, sd.Name)
 			}
 		}
-		full[sd.Name] = v
+		vals[i] = v
 	}
 	e.nextFact++
-	f := &Fact{ID: e.nextFact, Template: template, Slots: full}
+	f := &Fact{ID: e.nextFact, Template: template, t: t, vals: vals}
 	if e.Echo != nil {
 		fmt.Fprintf(e.Echo, "CLIPS> (assert %s)\n", f)
 	}
 	e.facts[f.ID] = f
-	e.order = append(e.order, f.ID)
+	e.order = append(e.order, f)
 	e.seq++
 	for _, r := range e.rules {
-		e.activate(r, f)
+		e.join(r, f.ID)
 	}
 	return f, nil
 }
 
-// Retract removes a fact and any agenda activations that used it.
+// Retract removes a fact, any agenda activations that used it, and
+// the refraction entries that name it.
 func (e *Engine) Retract(id int) {
-	if _, ok := e.facts[id]; !ok {
+	f, ok := e.facts[id]
+	if !ok {
 		return
 	}
 	delete(e.facts, id)
-	for i, fid := range e.order {
-		if fid == id {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
+	for _, k := range f.keys {
+		delete(e.fired, k)
 	}
-	kept := e.agenda[:0]
-	for _, a := range e.agenda {
-		uses := false
-		for _, fid := range a.ids {
-			if fid == id {
-				uses = true
-				break
-			}
-		}
-		if !uses {
-			kept = append(kept, a)
-		}
+	f.keys = nil
+	if i := slices.Index(e.order, f); i >= 0 {
+		e.order = slices.Delete(e.order, i, i+1)
 	}
-	e.agenda = kept
+	e.agenda = slices.DeleteFunc(e.agenda, func(a *activation) bool {
+		return slices.Contains(a.ids, id)
+	})
 	// Retraction may re-enable negative conditional elements;
 	// recompute the rules that use them (refraction and the agenda
 	// dedup keep this idempotent).
 	for _, r := range e.rules {
-		for i := range r.Patterns {
-			if r.Patterns[i].Negated {
-				e.join(r, -1)
-				break
-			}
+		if r.hasNeg {
+			e.join(r, -1)
 		}
 	}
 }
@@ -225,112 +246,107 @@ func (e *Engine) Fact(id int) (*Fact, bool) {
 }
 
 // Facts returns all facts in assertion order.
-func (e *Engine) Facts() []*Fact {
-	out := make([]*Fact, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.facts[id])
-	}
-	return out
-}
-
-// activate finds activations of r that include the new fact.
-func (e *Engine) activate(r *Rule, newFact *Fact) {
-	e.join(r, newFact.ID)
-}
-
-// activateRule finds all activations of a freshly defined rule.
-func (e *Engine) activateRule(r *Rule, _ int) {
-	e.join(r, -1)
-}
+func (e *Engine) Facts() []*Fact { return slices.Clone(e.order) }
 
 // anyMatch reports whether any current fact matches the pattern under
-// the given bindings (used for negative conditional elements; the
-// probe bindings are discarded).
-func (e *Engine) anyMatch(p *Pattern, b *Bindings) bool {
-	for _, fid := range e.order {
-		f := e.facts[fid]
-		if f.Template != p.Template {
+// the bindings b (used for negative conditional elements). The probe
+// bindings are truncated away, leaving b as it was.
+func (e *Engine) anyMatch(p *compiledPattern, b *Bindings) bool {
+	mark := len(b.vars)
+	for _, f := range e.order {
+		if f.t != p.t {
 			continue
 		}
-		if p.match(f, b.clone()) {
+		ok := p.match(f, b)
+		b.truncate(mark)
+		if ok {
 			return true
 		}
 	}
 	return false
 }
 
-// join enumerates complete pattern matches. When mustInclude >= 0,
+// join enumerates complete pattern matches: rules in definition order
+// (by the callers), facts in assertion order. When mustInclude >= 0,
 // only tuples containing that fact id are produced (incremental
 // activation on assert); -1 enumerates everything (new rule, or a
 // recomputation after retract re-enabled negative elements).
 // Negated patterns consume no fact: they hold when nothing matches,
 // and are re-verified at fire time (asserts between activation and
 // firing can defeat them).
-func (e *Engine) join(r *Rule, mustInclude int) {
-	n := len(r.Patterns)
-	if n == 0 {
+//
+// Candidates bind on the engine-owned stack e.stack: each one records
+// a mark and truncates back to it when it fails or has been explored,
+// so only an activation actually created copies its bindings.
+func (e *Engine) join(r *compiledRule, mustInclude int) {
+	if len(r.pats) == 0 {
 		return
 	}
-	var ids []int // ids of positive-pattern facts, in pattern order
-	var rec func(i int, b *Bindings, used bool)
-	rec = func(i int, b *Bindings, used bool) {
-		if i == n {
-			if mustInclude >= 0 && !used {
-				return
-			}
-			key := activationKey(r.Name, ids)
-			if e.fired[key] {
-				return
-			}
-			for _, a := range e.agenda {
-				if activationKey(a.rule.Name, a.ids) == key {
-					return
-				}
-			}
-			fb := b.clone()
-			for _, test := range r.Tests {
-				if !test(fb) {
-					return
-				}
-			}
-			e.agenda = append(e.agenda, &activation{
-				rule: r, ids: append([]int(nil), ids...), b: fb, seq: e.seq,
-			})
+	e.stack.truncate(0)
+	e.ids = e.ids[:0]
+	e.extend(r, 0, mustInclude, false)
+}
+
+// extend matches pattern i onward against the partial tuple on the
+// stack.
+func (e *Engine) extend(r *compiledRule, i, mustInclude int, used bool) {
+	if i == len(r.pats) {
+		if mustInclude >= 0 && !used {
 			return
 		}
-		p := &r.Patterns[i]
-		if p.Negated {
-			if e.anyMatch(p, b) {
-				return
-			}
-			rec(i+1, b, used)
+		e.key = refractionKey(e.key[:0], r.Name, e.ids)
+		if e.fired[string(e.key)] {
 			return
 		}
-		for _, fid := range e.order {
-			f := e.facts[fid]
-			if f.Template != p.Template {
-				continue
+		for _, a := range e.agenda {
+			if a.rule == r && slices.Equal(a.ids, e.ids) {
+				return
 			}
-			dup := false
-			for _, prev := range ids {
-				if prev == fid {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			nb := b.clone()
-			if !p.match(f, nb) {
-				continue
-			}
-			ids = append(ids, fid)
-			rec(i+1, nb, used || fid == mustInclude)
-			ids = ids[:len(ids)-1]
 		}
+		for _, test := range r.Tests {
+			if !test(&e.stack) {
+				return
+			}
+		}
+		e.agenda = append(e.agenda, &activation{
+			rule: r, ids: slices.Clone(e.ids),
+			b: Bindings{vars: slices.Clone(e.stack.vars)}, seq: e.seq,
+		})
+		return
 	}
-	rec(0, NewBindings(), false)
+	p := &r.pats[i]
+	if p.negated {
+		if !e.anyMatch(p, &e.stack) {
+			e.extend(r, i+1, mustInclude, used)
+		}
+		return
+	}
+	for _, f := range e.order {
+		if f.t != p.t || slices.Contains(e.ids, f.ID) {
+			continue
+		}
+		mark := len(e.stack.vars)
+		if p.match(f, &e.stack) {
+			e.ids = append(e.ids, f.ID)
+			e.extend(r, i+1, mustInclude, used || f.ID == mustInclude)
+			e.ids = e.ids[:len(e.ids)-1]
+		}
+		e.stack.truncate(mark)
+	}
+}
+
+// refractionKey appends the refraction key of (rule, ids) to buf:
+// "rule|id,id,...".
+func refractionKey(buf []byte, rule string, ids []int) []byte {
+	buf = append(buf, rule...)
+	buf = append(buf, '|')
+	for i, id := range ids {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(id), 10)
+	}
+	return buf
 }
 
 // Run fires agenda activations until the agenda empties or limit rules
@@ -357,9 +373,9 @@ func (e *Engine) Run(limit int) int {
 		// Re-verify negative conditional elements: a fact asserted
 		// after this activation was created may defeat them.
 		defeated := false
-		for i := range a.rule.Patterns {
-			p := &a.rule.Patterns[i]
-			if p.Negated && e.anyMatch(p, a.b) {
+		for i := range a.rule.pats {
+			p := &a.rule.pats[i]
+			if p.negated && e.anyMatch(p, &a.b) {
 				defeated = true
 				break
 			}
@@ -367,20 +383,27 @@ func (e *Engine) Run(limit int) int {
 		if defeated {
 			continue
 		}
-		key := activationKey(a.rule.Name, a.ids)
-		if e.fired[key] {
+		e.key = refractionKey(e.key[:0], a.rule.Name, a.ids)
+		if e.fired[string(e.key)] {
 			continue
 		}
+		key := string(e.key)
 		e.fired[key] = true
+		for _, id := range a.ids {
+			f := e.facts[id]
+			f.keys = append(f.keys, key)
+		}
 		e.fireSeq++
 		rec := FireRecord{Seq: e.fireSeq, Rule: a.rule.Name, FactIDs: a.ids}
 		e.trace = append(e.trace, rec)
 		if e.OnFire != nil {
 			e.OnFire(rec)
 		}
-		fmt.Fprintln(e.Out, rec.String())
+		if e.Out != io.Discard {
+			fmt.Fprintln(e.Out, rec.String())
+		}
 		if a.rule.Action != nil {
-			a.rule.Action(&Context{E: e, Rule: a.rule, IDs: a.ids}, a.b)
+			a.rule.Action(&Context{E: e, Rule: a.rule.Rule, IDs: a.ids}, &a.b)
 		}
 		fired++
 	}
@@ -399,7 +422,7 @@ func (e *Engine) pop() *activation {
 		}
 	}
 	a := e.agenda[best]
-	e.agenda = append(e.agenda[:best], e.agenda[best+1:]...)
+	e.agenda = slices.Delete(e.agenda, best, best+1)
 	return a
 }
 
@@ -422,13 +445,11 @@ func (e *Engine) Reset() {
 	e.seq = 0
 }
 
-// DumpFacts renders working memory for diagnostics.
+// DumpFacts renders working memory, in id order, for diagnostics.
 func (e *Engine) DumpFacts() string {
 	var b strings.Builder
-	ids := append([]int(nil), e.order...)
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "f-%d %s\n", id, e.facts[id])
+	for _, f := range e.order {
+		fmt.Fprintf(&b, "f-%d %s\n", f.ID, f)
 	}
 	return b.String()
 }

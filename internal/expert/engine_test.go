@@ -37,8 +37,8 @@ func TestAssertAndFactString(t *testing.T) {
 		t.Errorf("String = %s", s)
 	}
 	// Defaults: multislot defaults to empty list.
-	if tags, ok := f.Slots["tags"].([]Value); !ok || len(tags) != 0 {
-		t.Errorf("tags default = %v", f.Slots["tags"])
+	if tags, ok := f.Get("tags").([]Value); !ok || len(tags) != 0 {
+		t.Errorf("tags default = %v", f.Get("tags"))
 	}
 }
 
@@ -496,5 +496,126 @@ func TestNegativePatternOnlyRule(t *testing.T) {
 	e.Run(0)
 	if count != 1 {
 		t.Errorf("count = %d", count)
+	}
+}
+
+func TestDefRuleRejectsUnknownSlot(t *testing.T) {
+	e := NewEngine()
+	if err := e.DefTemplate(&Template{Name: "ev", Slots: []SlotDef{{Name: "name"}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Pattern{
+		P("ev", S("nmae", Var("n"))),
+		PNot("ev", S("nmae", Lit("x"))),
+	} {
+		err := e.DefRule(&Rule{Name: "typo", Patterns: []Pattern{p}})
+		if err == nil || !strings.Contains(err.Error(), `no slot "nmae"`) {
+			t.Errorf("pattern %+v: err = %v, want a missing-slot error", p, err)
+		}
+	}
+	// The rejected rule is not registered, so the corrected one is
+	// accepted under the same name and fires.
+	fired := 0
+	if err := e.DefRule(&Rule{
+		Name:     "typo",
+		Patterns: []Pattern{P("ev", S("name", Var("n")))},
+		Action:   func(*Context, *Bindings) { fired++ },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.Assert("ev", map[string]Value{"name": "a"})
+	if e.Run(0); fired != 1 {
+		t.Errorf("fired = %d, want 1", fired)
+	}
+	// The CLIPS front end passes the error on.
+	err := NewClips(e).Eval(`(defrule typo2 (ev (nmae ?n)) => (printout t ?n crlf))`)
+	if err == nil || !strings.Contains(err.Error(), `no slot "nmae"`) {
+		t.Errorf("clips defrule err = %v, want a missing-slot error", err)
+	}
+}
+
+func TestDefTemplateRejectsDuplicateSlot(t *testing.T) {
+	e := NewEngine()
+	err := e.DefTemplate(&Template{Name: "t", Slots: []SlotDef{{Name: "a"}, {Name: "a"}}})
+	if err == nil {
+		t.Error("duplicate slot accepted")
+	}
+}
+
+// eventRule is a Secpert-shaped rule: one pattern that binds several
+// slots of each event fact and fires on most of them.
+func eventRule(fired *int) *Rule {
+	return &Rule{
+		Name: "seen",
+		Patterns: []Pattern{P("person",
+			S("name", Var("n")), S("age", Var("a")), S("tags", Var("t")))},
+		Tests:  []func(*Bindings) bool{func(b *Bindings) bool { return b.Str("n") != "skip" }},
+		Action: func(*Context, *Bindings) { *fired++ },
+	}
+}
+
+func TestRefractionMemoryBoundedUnderFlood(t *testing.T) {
+	e := newTestEngine(t)
+	fired := 0
+	if err := e.DefRule(eventRule(&fired)); err != nil {
+		t.Fatal(err)
+	}
+	slots := map[string]Value{"name": "x", "age": int64(1)}
+	for i := 0; i < 10_000; i++ {
+		f, err := e.Assert("person", slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(0)
+		e.Retract(f.ID)
+		if len(e.fired) > 1 {
+			t.Fatalf("event %d: refraction memory holds %d entries", i, len(e.fired))
+		}
+	}
+	if fired != 10_000 || len(e.Trace()) != 10_000 {
+		t.Fatalf("fired %d, trace %d; want 10000 each", fired, len(e.Trace()))
+	}
+	// A fact that stays keeps its entry: it must not fire twice.
+	e.Assert("person", slots)
+	e.Run(0)
+	e.Run(0)
+	if fired != 10_001 || len(e.fired) != 1 {
+		t.Errorf("resident fact: fired %d, refraction entries %d", fired, len(e.fired))
+	}
+}
+
+// TestEventAllocsFlat holds the per-event cost of an assert/run/
+// retract cycle flat as the engine's history grows 10×, and a
+// candidate that fails its pattern to the fact itself.
+func TestEventAllocsFlat(t *testing.T) {
+	e := newTestEngine(t)
+	fired := 0
+	if err := e.DefRule(eventRule(&fired)); err != nil {
+		t.Fatal(err)
+	}
+	slots := map[string]Value{"name": "x", "age": int64(1), "tags": []Value{"a"}}
+	event := func() {
+		f, _ := e.Assert("person", slots)
+		e.Run(0)
+		e.Retract(f.ID)
+	}
+	perEvent := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				event()
+			}
+		}) / float64(n)
+	}
+	a100, a1000 := perEvent(100), perEvent(1000)
+	t.Logf("allocs/event: %.2f after 100 events, %.2f after 1000", a100, a1000)
+	if d := a1000 - a100; d > 1 || d < -1 {
+		t.Errorf("allocs/event %.2f at 100 events vs %.2f at 1000: not flat", a100, a1000)
+	}
+
+	// The test rejects "skip": join tries the candidate, the test
+	// fails, and nothing beyond the fact and its values allocates.
+	slots["name"] = "skip"
+	if n := testing.AllocsPerRun(200, event); n > 2 {
+		t.Errorf("a rejected event costs %.0f allocs, want ≤2 (the fact and its slot values)", n)
 	}
 }

@@ -116,40 +116,64 @@ type Template struct {
 	Slots []SlotDef
 }
 
-func (t *Template) slot(name string) (*SlotDef, bool) {
-	for i := range t.Slots {
-		if t.Slots[i].Name == name {
-			return &t.Slots[i], true
-		}
-	}
-	return nil, false
+// tmpl is a registered template with every slot name resolved to its
+// position once, at DefTemplate.
+type tmpl struct {
+	slots  []SlotDef      // the Template's own slice
+	index  map[string]int // slot name → position in slots and Fact.vals
+	byName []int          // slot positions in slot-name order, for String
 }
 
-// Fact is one working-memory element.
+func compileTemplate(t *Template) (*tmpl, error) {
+	ct := &tmpl{
+		slots:  t.Slots,
+		index:  make(map[string]int, len(t.Slots)),
+		byName: make([]int, len(t.Slots)),
+	}
+	for i, sd := range ct.slots {
+		if _, dup := ct.index[sd.Name]; dup {
+			return nil, fmt.Errorf("expert: template %q has duplicate slot %q", t.Name, sd.Name)
+		}
+		ct.index[sd.Name] = i
+		ct.byName[i] = i
+	}
+	sort.Slice(ct.byName, func(a, b int) bool {
+		return ct.slots[ct.byName[a]].Name < ct.slots[ct.byName[b]].Name
+	})
+	return ct, nil
+}
+
+// Fact is one working-memory element. Its slot values are stored in
+// template order.
 type Fact struct {
 	ID       int
 	Template string
-	Slots    map[string]Value
+
+	t    *tmpl
+	vals []Value
+	// keys are the refraction keys of the firings that used this
+	// fact; Retract forgets them (see Engine.fired).
+	keys []string
 }
 
-// Get returns a slot value.
-func (f *Fact) Get(slot string) Value { return f.Slots[slot] }
+// Get returns a slot value (nil for a slot the template lacks).
+func (f *Fact) Get(slot string) Value {
+	if i, ok := f.t.index[slot]; ok {
+		return f.vals[i]
+	}
+	return nil
+}
 
 // Ref renders the fact's identifier CLIPS-style: f-7.
 func (f *Fact) Ref() string { return fmt.Sprintf("f-%d", f.ID) }
 
-// String renders the fact CLIPS-style:
+// String renders the fact CLIPS-style, slots sorted by name:
 // (template (slot value) (slot value)).
 func (f *Fact) String() string {
-	names := make([]string, 0, len(f.Slots))
-	for n := range f.Slots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString("(" + f.Template)
-	for _, n := range names {
-		b.WriteString(fmt.Sprintf(" (%s %s)", n, FormatValue(f.Slots[n])))
+	for _, i := range f.t.byName {
+		b.WriteString(fmt.Sprintf(" (%s %s)", f.t.slots[i].Name, FormatValue(f.vals[i])))
 	}
 	b.WriteString(")")
 	return b.String()

@@ -1,55 +1,68 @@
 package expert
 
 // Bindings carries variable bindings accumulated while matching a
-// rule's patterns.
+// rule's patterns: an append-only list of (name, value) pairs in which
+// a later pair shadows an earlier one of the same name.
 type Bindings struct {
-	vars map[string]Value
+	vars []binding
+}
+
+type binding struct {
+	name string
+	v    Value
 }
 
 // NewBindings returns an empty binding set.
-func NewBindings() *Bindings { return &Bindings{vars: map[string]Value{}} }
+func NewBindings() *Bindings { return &Bindings{} }
 
 // Get returns the value bound to name, if any.
 func (b *Bindings) Get(name string) (Value, bool) {
-	v, ok := b.vars[name]
-	return v, ok
+	for i := len(b.vars) - 1; i >= 0; i-- {
+		if b.vars[i].name == name {
+			return b.vars[i].v, true
+		}
+	}
+	return nil, false
 }
 
 // MustGet returns the bound value or nil.
-func (b *Bindings) MustGet(name string) Value { return b.vars[name] }
+func (b *Bindings) MustGet(name string) Value {
+	v, _ := b.Get(name)
+	return v
+}
 
 // Str returns a bound string value (empty if unbound or non-string).
 func (b *Bindings) Str(name string) string {
-	s, _ := b.vars[name].(string)
+	s, _ := b.MustGet(name).(string)
 	return s
 }
 
 // Int returns a bound int64 value (0 if unbound or non-integer).
 func (b *Bindings) Int(name string) int64 {
-	v, _ := Norm(b.vars[name]).(int64)
+	v, _ := Norm(b.MustGet(name)).(int64)
 	return v
 }
 
 // List returns a bound multifield value.
 func (b *Bindings) List(name string) []Value {
-	l, _ := Norm(b.vars[name]).([]Value)
+	l, _ := Norm(b.MustGet(name)).([]Value)
 	return l
 }
 
 // Fact returns the fact bound by a pattern binder (?f <- pattern).
 func (b *Bindings) Fact(name string) *Fact {
-	f, _ := b.vars[name].(*Fact)
+	f, _ := b.MustGet(name).(*Fact)
 	return f
 }
 
-func (b *Bindings) set(name string, v Value) { b.vars[name] = v }
+func (b *Bindings) set(name string, v Value) {
+	b.vars = append(b.vars, binding{name, v})
+}
 
-func (b *Bindings) clone() *Bindings {
-	out := NewBindings()
-	for k, v := range b.vars {
-		out.vars[k] = v
-	}
-	return out
+// truncate drops every binding made since the stack held n.
+func (b *Bindings) truncate(n int) {
+	clear(b.vars[n:])
+	b.vars = b.vars[:n]
 }
 
 // Matcher decides whether a slot value is acceptable, possibly
@@ -139,23 +152,30 @@ func PNot(template string, matches ...SlotMatch) Pattern {
 	return Pattern{Template: template, Matches: matches, Negated: true}
 }
 
-// match attempts the pattern against a fact, extending b on success.
-// b is mutated; the caller clones before trying alternatives.
-func (p *Pattern) match(f *Fact, b *Bindings) bool {
-	if f.Template != p.Template {
-		return false
-	}
-	for _, sm := range p.Matches {
-		v, ok := f.Slots[sm.Slot]
-		if !ok {
+// compiledPattern is a Pattern resolved against its template at
+// DefRule: each slot match carries the slot's position in Fact.vals.
+type compiledPattern struct {
+	t       *tmpl
+	binder  string
+	negated bool
+	matches []slotMatch
+}
+
+type slotMatch struct {
+	idx int
+	m   Matcher
+}
+
+// match attempts the pattern against a fact of its template, extending
+// b. On failure b may hold partial bindings; the caller truncates.
+func (p *compiledPattern) match(f *Fact, b *Bindings) bool {
+	for _, sm := range p.matches {
+		if !sm.m(f.vals[sm.idx], b) {
 			return false
 		}
-		if !sm.M(v, b) {
-			return false
-		}
 	}
-	if p.Binder != "" {
-		b.set(p.Binder, f)
+	if p.binder != "" {
+		b.set(p.binder, f)
 	}
 	return true
 }

@@ -243,6 +243,9 @@ type Secpert struct {
 	chains     func([]taint.Source) []string
 	curSources []taint.Source
 	curDesc    string
+
+	// slots is the event-fact slot map accessSlots/ioSlots refill.
+	slots map[string]expert.Value
 }
 
 // New builds a Secpert with the given policy configuration.
@@ -256,6 +259,7 @@ func New(cfg Config, advisor Advisor) *Secpert {
 		advisor: advisor,
 		origins: make(map[string][]taint.Source),
 		once:    make(map[string]bool),
+		slots:   make(map[string]expert.Value, 17), // system_call_io's slot count
 	}
 	s.defineTemplates()
 	s.defineRules()
@@ -346,7 +350,7 @@ func (s *Secpert) HandleAccess(ev *events.Access) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_access", accessSlots(ev))
+	f, err := s.eng.Assert("system_call_access", s.accessSlots(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}
@@ -366,7 +370,7 @@ func (s *Secpert) HandleIO(ev *events.IO) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_io", ioSlots(ev))
+	f, err := s.eng.Assert("system_call_io", s.ioSlots(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}

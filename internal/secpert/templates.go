@@ -55,27 +55,30 @@ func (s *Secpert) defineTemplates() {
 	}))
 }
 
-// accessSlots converts an Access event into fact slots.
-func accessSlots(ev *events.Access) map[string]expert.Value {
+// accessSlots converts an Access event into fact slots. It fills the
+// slot map s owns, cleared per event: Assert copies the values out.
+func (s *Secpert) accessSlots(ev *events.Access) map[string]expert.Value {
 	types, names := sourceLists(ev.Resource.Origin)
-	return map[string]expert.Value{
-		"system_call_name":     ev.Call,
-		"resource_name":        ev.Resource.Name,
-		"resource_type":        ev.Resource.Type.String(),
-		"resource_origin_name": names,
-		"resource_origin_type": types,
-		"time":                 int64(ev.Time),
-		"frequency":            ev.Freq,
-		"address":              ev.Addr,
-		"pid":                  int64(ev.PID),
-		"clone_count":          ev.CloneCount,
-		"clone_rate":           ev.CloneRate,
-		"mem_bytes":            ev.MemBytes,
-	}
+	m := s.slots
+	clear(m)
+	m["system_call_name"] = ev.Call
+	m["resource_name"] = ev.Resource.Name
+	m["resource_type"] = ev.Resource.Type.String()
+	m["resource_origin_name"] = names
+	m["resource_origin_type"] = types
+	m["time"] = int64(ev.Time)
+	m["frequency"] = ev.Freq
+	m["address"] = ev.Addr
+	m["pid"] = int64(ev.PID)
+	m["clone_count"] = ev.CloneCount
+	m["clone_rate"] = ev.CloneRate
+	m["mem_bytes"] = ev.MemBytes
+	return m
 }
 
-// ioSlots converts an IO event into fact slots.
-func ioSlots(ev *events.IO) map[string]expert.Value {
+// ioSlots converts an IO event into fact slots, in the same owned map
+// as accessSlots.
+func (s *Secpert) ioSlots(ev *events.IO) map[string]expert.Value {
 	dTypes, dNames := sourceLists(ev.Data)
 	oTypes, oNames := sourceLists(ev.Resource.Origin)
 	sTypes, sNames := sourceLists(ev.ServerOrigin)
@@ -83,23 +86,24 @@ func ioSlots(ev *events.IO) map[string]expert.Value {
 	if ev.Server {
 		server = "yes"
 	}
-	return map[string]expert.Value{
-		"system_call_name":     ev.Call,
-		"direction":            ev.Dir.String(),
-		"data_source_type":     dTypes,
-		"data_source_name":     dNames,
-		"resource_name":        ev.Resource.Name,
-		"resource_type":        ev.Resource.Type.String(),
-		"resource_origin_name": oNames,
-		"resource_origin_type": oTypes,
-		"head":                 string(ev.Head),
-		"server":               server,
-		"server_addr":          ev.ServerAddr,
-		"server_origin_name":   sNames,
-		"server_origin_type":   sTypes,
-		"time":                 int64(ev.Time),
-		"frequency":            ev.Freq,
-		"address":              ev.Addr,
-		"pid":                  int64(ev.PID),
-	}
+	m := s.slots
+	clear(m)
+	m["system_call_name"] = ev.Call
+	m["direction"] = ev.Dir.String()
+	m["data_source_type"] = dTypes
+	m["data_source_name"] = dNames
+	m["resource_name"] = ev.Resource.Name
+	m["resource_type"] = ev.Resource.Type.String()
+	m["resource_origin_name"] = oNames
+	m["resource_origin_type"] = oTypes
+	m["head"] = string(ev.Head)
+	m["server"] = server
+	m["server_addr"] = ev.ServerAddr
+	m["server_origin_name"] = sNames
+	m["server_origin_type"] = sTypes
+	m["time"] = int64(ev.Time)
+	m["frequency"] = ev.Freq
+	m["address"] = ev.Addr
+	m["pid"] = int64(ev.PID)
+	return m
 }

@@ -31,6 +31,10 @@ go run ./cmd/hth-bench -chaos 0xC0FFEE,0.05 -parallel 4 >/dev/null
 make soak
 # Fuzz smoke: the chaos plan parser must never panic on hostile specs.
 go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
+# Expert-engine oracle: random rules and assert/retract/run sequences
+# must behave identically on the engine and its reference; a fuzz
+# smoke beyond the seeded table test.
+go test -fuzz=FuzzEngineDifferential -fuzztime=10s ./internal/expert
 # Trace-tier gates: the full corpus must be bit-identical on the
 # interpreter tier alone and with traces (crossed with provenance),
 # and the trace oracle gets a fuzz smoke beyond its checked-in corpus.
