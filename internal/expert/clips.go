@@ -155,7 +155,7 @@ func (c *Clips) evalAssert(f *sexpr, b *Bindings) (*Fact, error) {
 	}
 	// Multislot values given as single scalars are wrapped by the
 	// template check; wrap explicitly when the template says multi.
-	if t, ok := c.Eng.templates[tmpl]; ok {
+	if t, ok := c.Eng.prog.templates[tmpl]; ok {
 		for name, v := range slots {
 			if i, ok := t.index[name]; ok && t.slots[i].Multi {
 				if _, isList := Norm(v).([]Value); !isList {

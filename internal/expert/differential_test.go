@@ -14,6 +14,9 @@ import (
 // runs on the engine and on refEngine, and after every step the two
 // must agree byte for byte on fire records, Out and Echo text, the
 // bindings each action sees, the agenda length and working memory.
+// Every scenario runs twice: once asserting through the slot-map
+// wrapper (Engine.Assert), once through the positional core
+// (Engine.AssertValues); the reference always takes the slot map.
 
 // byteSource decodes a scenario from fuzz input; past the end it
 // yields zeros, so every input decodes to some finite scenario.
@@ -391,11 +394,12 @@ type diffHarness struct {
 	eBudget, rBudget         int
 	defined                  int
 	names                    []string
+	positional               bool // ops assert through AssertValues
 }
 
-func newDiffHarness(t testing.TB, sc *diffScenario) *diffHarness {
+func newDiffHarness(t testing.TB, sc *diffScenario, positional bool) *diffHarness {
 	h := &diffHarness{t: t, sc: sc, e: NewEngine(), r: newRefEngine(),
-		eBudget: sc.budget, rBudget: sc.budget}
+		eBudget: sc.budget, rBudget: sc.budget, positional: positional}
 	h.names = append(append([]string(nil), diffVars...), "f", "g")
 	h.e.Out, h.e.Echo = &h.eOut, &h.eEcho
 	h.r.Out, h.r.Echo = &h.rOut, &h.rEcho
@@ -467,6 +471,10 @@ func (h *diffHarness) apply(op opSpec) string {
 				}
 			}
 		}
+		if h.positional {
+			h.assertPositional(t, slots, op.bad == 1)
+			return fmt.Sprintf("assert-values %s %v", t.Name, slots)
+		}
 		_, errE := h.e.Assert(t.Name, slots)
 		_, errR := h.r.Assert(t.Name, slots)
 		h.same("assert", errE, errR)
@@ -490,6 +498,42 @@ func (h *diffHarness) apply(op opSpec) string {
 		h.eBudget, h.rBudget = h.sc.budget, h.sc.budget
 		return "reset"
 	}
+}
+
+// assertPositional asserts slots on the engine by position, every
+// absent slot filled with its default, and on the reference by name.
+// A slot the template lacks cannot be named by position: the engine
+// gets one value too many instead, and both sides must reject the
+// fact, each with its own message.
+func (h *diffHarness) assertPositional(t *Template, slots map[string]Value, unknownSlot bool) {
+	h.t.Helper()
+	ref, ok := h.e.prog.Template(t.Name)
+	if !ok {
+		h.t.Fatalf("engine has no template %s", t.Name)
+	}
+	vals := make([]Value, len(t.Slots))
+	for i, sd := range t.Slots {
+		v, present := slots[sd.Name]
+		if !present {
+			v = sd.Default
+			if v == nil && sd.Multi {
+				v = []Value{}
+			}
+		}
+		vals[i] = v
+	}
+	if unknownSlot {
+		vals = append(vals, int64(1))
+	}
+	_, errE := h.e.AssertValues(ref, vals)
+	_, errR := h.r.Assert(t.Name, slots)
+	if unknownSlot {
+		if errE == nil || errR == nil {
+			h.t.Fatalf("assert with an unknown slot: engine error %v, reference error %v", errE, errR)
+		}
+		return
+	}
+	h.same("assert-values", errE, errR)
 }
 
 // check compares everything observable after a step.
@@ -533,14 +577,17 @@ func (h *diffHarness) check(step int, what string) {
 	}
 }
 
-// runDifferential executes a decoded scenario on both engines and
-// reports how many rules fired (so callers can tell an idle scenario).
+// runDifferential executes a decoded scenario on both engines, through
+// the slot-map wrapper and through the positional core, and reports
+// how many rules fired (so callers can tell an idle scenario).
 func runDifferential(t testing.TB, data []byte) int {
-	return runScenario(t, decodeScenario(&byteSource{data: data}))
+	sc := decodeScenario(&byteSource{data: data})
+	runScenario(t, sc, true)
+	return runScenario(t, sc, false)
 }
 
-func runScenario(t testing.TB, sc *diffScenario) int {
-	h := newDiffHarness(t, sc)
+func runScenario(t testing.TB, sc *diffScenario, positional bool) int {
+	h := newDiffHarness(t, sc, positional)
 	for h.defined < sc.upfront {
 		h.defineNext()
 	}
@@ -602,7 +649,10 @@ func TestEngineDifferential(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { runScenario(t, c.sc) })
+		t.Run(c.name, func(t *testing.T) {
+			runScenario(t, c.sc, false)
+			runScenario(t, c.sc, true)
+		})
 	}
 	// Random scenarios: the decoder is dense, so uniform bytes cover
 	// every matcher, negation, binder, test and action kind.

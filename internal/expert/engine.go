@@ -17,8 +17,8 @@ type Rule struct {
 	Patterns []Pattern
 	// Tests run after all patterns matched, over the bindings
 	// (CLIPS test conditional elements). They must be pure: they may
-	// not touch the engine or keep b, which is the engine's match
-	// stack.
+	// not change the engine or keep b, which is the engine's match
+	// stack. They may read b.Env().
 	Tests []func(b *Bindings) bool
 	// Action fires with the matched bindings.
 	Action func(ctx *Context, b *Bindings)
@@ -86,13 +86,20 @@ type Engine struct {
 	// OnFire, when non-nil, observes every rule firing, invoked after
 	// the record joins the fire trace and before the rule action runs.
 	OnFire func(FireRecord)
+	// Env is the run state the rules act on: rule tests and actions
+	// read it through Bindings.Env and Context.E, which lets one
+	// compiled Program serve many engines at once.
+	Env any
 
-	templates map[string]*tmpl
-	rules     []*compiledRule
-	facts     map[int]*Fact
-	order     []*Fact // assertion order, so ascending ids
-	nextFact  int
-	seq       int
+	// prog holds the templates and rules. Unless ownProg, it is
+	// shared with other engines, and DefTemplate/DefRule copy it
+	// before the first change.
+	prog     *Program
+	ownProg  bool
+	facts    map[int]*Fact
+	order    []*Fact // assertion order, so ascending ids
+	nextFact int
+	seq      int
 
 	agenda []*activation
 	// fired is the refraction memory, keyed by refractionKey. Fact
@@ -111,57 +118,50 @@ type Engine struct {
 	key   []byte   // refraction key buffer (join, and Run between actions)
 }
 
-// NewEngine returns an empty engine.
+// NewEngine returns an empty engine with a program of its own.
 func NewEngine() *Engine {
-	return &Engine{
-		Out:       io.Discard,
-		templates: make(map[string]*tmpl),
-		facts:     make(map[int]*Fact),
-		fired:     make(map[string]bool),
+	e := NewEngineFor(NewProgram())
+	e.ownProg = true
+	return e
+}
+
+// NewEngineFor returns an empty engine running the shared program p.
+// p is never changed through the engine: DefTemplate and DefRule give
+// the engine a private copy first.
+func NewEngineFor(p *Program) *Engine {
+	e := &Engine{
+		Out:   io.Discard,
+		prog:  p,
+		facts: make(map[int]*Fact),
+		fired: make(map[string]bool),
+	}
+	e.stack.e = e
+	return e
+}
+
+// own gives the engine a program it may change.
+func (e *Engine) own() {
+	if !e.ownProg {
+		e.prog = e.prog.clone()
+		e.ownProg = true
 	}
 }
 
 // DefTemplate registers a template. t must not change afterwards.
 func (e *Engine) DefTemplate(t *Template) error {
-	if _, dup := e.templates[t.Name]; dup {
-		return fmt.Errorf("expert: duplicate template %q", t.Name)
-	}
-	ct, err := compileTemplate(t)
-	if err != nil {
-		return err
-	}
-	e.templates[t.Name] = ct
-	return nil
+	e.own()
+	return e.prog.DefTemplate(t)
 }
 
 // DefRule registers a rule, rejecting patterns over an undefined
 // template or a slot their template lacks. Existing facts are
 // immediately eligible.
 func (e *Engine) DefRule(r *Rule) error {
-	for _, other := range e.rules {
-		if other.Name == r.Name {
-			return fmt.Errorf("expert: duplicate rule %q", r.Name)
-		}
+	e.own()
+	cr, err := e.prog.defRule(r)
+	if err != nil {
+		return err
 	}
-	cr := &compiledRule{Rule: r, pats: make([]compiledPattern, len(r.Patterns))}
-	for i, p := range r.Patterns {
-		t, ok := e.templates[p.Template]
-		if !ok {
-			return fmt.Errorf("expert: rule %q uses undefined template %q", r.Name, p.Template)
-		}
-		cp := compiledPattern{t: t, binder: p.Binder, negated: p.Negated,
-			matches: make([]slotMatch, len(p.Matches))}
-		for j, sm := range p.Matches {
-			idx, ok := t.index[sm.Slot]
-			if !ok {
-				return fmt.Errorf("expert: rule %q: template %q has no slot %q", r.Name, p.Template, sm.Slot)
-			}
-			cp.matches[j] = slotMatch{idx: idx, m: sm.M}
-		}
-		cr.pats[i] = cp
-		cr.hasNeg = cr.hasNeg || p.Negated
-	}
-	e.rules = append(e.rules, cr)
 	// Activate against current working memory.
 	e.join(cr, -1)
 	return nil
@@ -169,9 +169,9 @@ func (e *Engine) DefRule(r *Rule) error {
 
 // Assert adds a fact, validating slots against the template and
 // applying defaults, then computes new activations. The slot map is
-// not retained.
+// not retained. It is a wrapper over AssertValues.
 func (e *Engine) Assert(template string, slots map[string]Value) (*Fact, error) {
-	t, ok := e.templates[template]
+	t, ok := e.prog.templates[template]
 	if !ok {
 		return nil, fmt.Errorf("expert: assert of undefined template %q", template)
 	}
@@ -189,23 +189,47 @@ func (e *Engine) Assert(template string, slots map[string]Value) (*Fact, error) 
 				v = []Value{}
 			}
 		}
-		v = Norm(v)
+		vals[i] = v
+	}
+	return e.assert(t, vals)
+}
+
+// AssertValues adds a fact of template t whose slot values are given
+// by position, in the order of the Template's Slots, then computes new
+// activations. Every position must be filled: no default applies. The
+// engine keeps vals.
+func (e *Engine) AssertValues(t TemplateRef, vals []Value) (*Fact, error) {
+	ct := t.t
+	if ct == nil || ct.id >= len(e.prog.tlist) || e.prog.tlist[ct.id] != ct {
+		return nil, fmt.Errorf("expert: assert of a template the engine's program does not define")
+	}
+	if len(vals) != len(ct.slots) {
+		return nil, fmt.Errorf("expert: template %q has %d slots, got %d values", ct.name, len(ct.slots), len(vals))
+	}
+	return e.assert(ct, vals)
+}
+
+// assert is the one assert path: it normalizes vals in place, checks
+// multislots, and joins the new fact against every rule.
+func (e *Engine) assert(t *tmpl, vals []Value) (*Fact, error) {
+	for i, sd := range t.slots {
+		v := Norm(vals[i])
 		if sd.Multi {
 			if _, isList := v.([]Value); !isList {
-				return nil, fmt.Errorf("expert: slot %s.%s is a multislot", template, sd.Name)
+				return nil, fmt.Errorf("expert: slot %s.%s is a multislot", t.name, sd.Name)
 			}
 		}
 		vals[i] = v
 	}
 	e.nextFact++
-	f := &Fact{ID: e.nextFact, Template: template, t: t, vals: vals}
+	f := &Fact{ID: e.nextFact, Template: t.name, t: t, vals: vals}
 	if e.Echo != nil {
 		fmt.Fprintf(e.Echo, "CLIPS> (assert %s)\n", f)
 	}
 	e.facts[f.ID] = f
 	e.order = append(e.order, f)
 	e.seq++
-	for _, r := range e.rules {
+	for _, r := range e.prog.rules {
 		e.join(r, f.ID)
 	}
 	return f, nil
@@ -232,7 +256,7 @@ func (e *Engine) Retract(id int) {
 	// Retraction may re-enable negative conditional elements;
 	// recompute the rules that use them (refraction and the agenda
 	// dedup keep this idempotent).
-	for _, r := range e.rules {
+	for _, r := range e.prog.rules {
 		if r.hasNeg {
 			e.join(r, -1)
 		}
@@ -310,7 +334,7 @@ func (e *Engine) extend(r *compiledRule, i, mustInclude int, used bool) {
 		}
 		e.agenda = append(e.agenda, &activation{
 			rule: r, ids: slices.Clone(e.ids),
-			b: Bindings{vars: slices.Clone(e.stack.vars)}, seq: e.seq,
+			b: Bindings{vars: slices.Clone(e.stack.vars), e: e}, seq: e.seq,
 		})
 		return
 	}

@@ -619,3 +619,93 @@ func TestEventAllocsFlat(t *testing.T) {
 		t.Errorf("a rejected event costs %.0f allocs, want ≤2 (the fact and its slot values)", n)
 	}
 }
+
+func TestAssertValuesMatchesAssert(t *testing.T) {
+	e := newTestEngine(t)
+	ref, ok := e.prog.Template("person")
+	if !ok {
+		t.Fatal("no template person")
+	}
+	if _, ok := e.prog.Template("nosuch"); ok {
+		t.Error("Template found an undefined template")
+	}
+	byMap, err := e.Assert("person", map[string]Value{"name": "alice", "age": 30, "tags": []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPos, err := e.AssertValues(ref, []Value{"alice", 30, []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byMap.String() != byPos.String() || byPos.Get("age") != int64(30) {
+		t.Errorf("positional fact %s, slot-map fact %s", byPos, byMap)
+	}
+}
+
+func TestAssertValuesValidation(t *testing.T) {
+	e := newTestEngine(t)
+	ref, _ := e.prog.Template("person")
+	if _, err := e.AssertValues(ref, []Value{"bob", int64(1)}); err == nil {
+		t.Error("short value list accepted")
+	}
+	if _, err := e.AssertValues(ref, []Value{"bob", int64(1), "notalist"}); err == nil {
+		t.Error("scalar in multislot accepted")
+	}
+	other := newTestEngine(t)
+	foreign, _ := other.prog.Template("person")
+	if _, err := e.AssertValues(foreign, []Value{"bob", int64(1), []Value{}}); err == nil {
+		t.Error("template of another program accepted")
+	}
+	if _, err := e.AssertValues(TemplateRef{}, nil); err == nil {
+		t.Error("zero TemplateRef accepted")
+	}
+	if len(e.Facts()) != 0 {
+		t.Errorf("rejected asserts left facts: %v", e.Facts())
+	}
+}
+
+// TestProgramSharedByEngines: engines on one Program keep separate
+// working memory, and a rule one of them adds stays its own.
+func TestProgramSharedByEngines(t *testing.T) {
+	p := NewProgram()
+	if err := p.DefTemplate(personTemplate()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DefRule(&Rule{
+		Name:     "adult",
+		Patterns: []Pattern{P("person", S("name", Var("n")), S("age", Var("a")))},
+		Tests: []func(*Bindings) bool{func(b *Bindings) bool {
+			return b.Int("a") >= b.Env().(*ageGate).min
+		}},
+		Action: func(ctx *Context, b *Bindings) { b.Env().(*ageGate).seen++ },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewEngineFor(p), NewEngineFor(p)
+	envA, envB := &ageGate{min: 18}, &ageGate{min: 65}
+	a.Env, b.Env = envA, envB
+	ref, _ := p.Template("person")
+	for _, e := range []*Engine{a, b} {
+		e.AssertValues(ref, []Value{"carol", int64(40), []Value{}})
+		e.Run(0)
+	}
+	if envA.seen != 1 || envB.seen != 0 || len(a.Trace()) != 1 || len(b.Trace()) != 0 {
+		t.Fatalf("seen %d/%d, traces %d/%d; each engine must use its own Env", envA.seen, envB.seen, len(a.Trace()), len(b.Trace()))
+	}
+	if err := a.DefRule(&Rule{Name: "extra", Patterns: []Pattern{P("person")}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.rules) != 1 || len(b.prog.rules) != 1 || len(a.prog.rules) != 2 {
+		t.Errorf("rules: program %d, b %d, a %d; DefRule must copy the shared program", len(p.rules), len(b.prog.rules), len(a.prog.rules))
+	}
+	if a.AgendaLen() != 1 {
+		t.Errorf("the added rule did not activate on a's existing fact (agenda %d)", a.AgendaLen())
+	}
+	// The program's TemplateRef still serves the engine that copied it.
+	if _, err := a.AssertValues(ref, []Value{"dan", int64(70), []Value{}}); err != nil {
+		t.Errorf("TemplateRef of the shared program rejected after copy: %v", err)
+	}
+}
+
+// ageGate is the per-engine Env of TestProgramSharedByEngines.
+type ageGate struct{ min, seen int64 }

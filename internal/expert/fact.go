@@ -119,13 +119,17 @@ type Template struct {
 // tmpl is a registered template with every slot name resolved to its
 // position once, at DefTemplate.
 type tmpl struct {
+	name   string
+	id     int            // position in its Program's definition order
 	slots  []SlotDef      // the Template's own slice
 	index  map[string]int // slot name → position in slots and Fact.vals
 	byName []int          // slot positions in slot-name order, for String
 }
 
-func compileTemplate(t *Template) (*tmpl, error) {
+func compileTemplate(t *Template, id int) (*tmpl, error) {
 	ct := &tmpl{
+		name:   t.Name,
+		id:     id,
 		slots:  t.Slots,
 		index:  make(map[string]int, len(t.Slots)),
 		byName: make([]int, len(t.Slots)),

@@ -5,6 +5,7 @@ package expert
 // a later pair shadows an earlier one of the same name.
 type Bindings struct {
 	vars []binding
+	e    *Engine // the engine matching, for Env; nil for NewBindings
 }
 
 type binding struct {
@@ -23,6 +24,15 @@ func (b *Bindings) Get(name string) (Value, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Env returns the Env of the engine whose match produced b (nil for
+// bindings made by NewBindings).
+func (b *Bindings) Env() any {
+	if b.e == nil {
+		return nil
+	}
+	return b.e.Env
 }
 
 // MustGet returns the bound value or nil.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/taint"
 )
 
-// defineRules installs the §4 policy:
+// policyRules returns the §4 policy for one rule-set shape:
 //
 //   - execution flow: check_execve (hardcoded / socket-originated /
 //     rarely-executed process names);
@@ -16,22 +16,24 @@ import (
 //   - information flow: check_write (the §4.3 source×target matrix)
 //     plus the keylogger-style user-input rules motivated by
 //     PWSteal.Tarno.Q (§2.1).
-func (s *Secpert) defineRules() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
+//
+// The rules are compiled once per process and shared by every run
+// (see policyFor): their tests and actions find the run's Secpert
+// through the engine (running), and read thresholds and History from
+// its Config at match time.
+func policyRules(disableInfoFlow, memoryAbuse bool) []*expert.Rule {
+	rules := []*expert.Rule{ruleCheckExecve(), ruleCloneCount(), ruleCloneRate()}
+	if !disableInfoFlow {
+		rules = append(rules, ruleCheckWrite())
 	}
-	must(s.eng.DefRule(s.ruleCheckExecve()))
-	must(s.eng.DefRule(s.ruleCloneCount()))
-	must(s.eng.DefRule(s.ruleCloneRate()))
-	if !s.cfg.DisableInfoFlow {
-		must(s.eng.DefRule(s.ruleCheckWrite()))
+	if memoryAbuse {
+		rules = append(rules, ruleMemoryAbuse())
 	}
-	if s.cfg.EnableMemoryAbuse {
-		must(s.eng.DefRule(s.ruleMemoryAbuse()))
-	}
+	return rules
 }
+
+// running returns the Secpert whose engine is matching b.
+func running(b *expert.Bindings) *Secpert { return b.Env().(*Secpert) }
 
 // bindAccess binds the slots every access rule needs.
 func bindAccess(extra ...expert.SlotMatch) []expert.SlotMatch {
@@ -49,7 +51,7 @@ func bindAccess(extra ...expert.SlotMatch) []expert.SlotMatch {
 // ruleCheckExecve reproduces the paper's check_execve (Appendix A.2):
 // warn when a new process's name is hardcoded (Low; Medium when the
 // code is rarely executed) or originated from a socket (High).
-func (s *Secpert) ruleCheckExecve() *expert.Rule {
+func ruleCheckExecve() *expert.Rule {
 	return &expert.Rule{
 		Name:     "check_execve",
 		Doc:      "check execve",
@@ -60,6 +62,7 @@ func (s *Secpert) ruleCheckExecve() *expert.Rule {
 		},
 		Tests: []func(*expert.Bindings) bool{
 			func(b *expert.Bindings) bool {
+				s := running(b)
 				srcs := listsToSources(b.List("otypes"), b.List("onames"))
 				if len(s.filterBinary(srcs)) > 0 || len(s.filterSocket(srcs)) > 0 {
 					return true
@@ -76,6 +79,7 @@ func (s *Secpert) ruleCheckExecve() *expert.Rule {
 			},
 		},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
+			s := running(b)
 			srcs := listsToSources(b.List("otypes"), b.List("onames"))
 			bins := s.filterBinary(srcs)
 			socks := s.filterSocket(srcs)
@@ -114,7 +118,7 @@ func (s *Secpert) ruleCheckExecve() *expert.Rule {
 // ruleMemoryAbuse is the §10-item-4 extension: a process tree whose
 // heap has grown past the configured thresholds is draining OS
 // resources (the Trojan.Vundo behaviour of §2.1).
-func (s *Secpert) ruleMemoryAbuse() *expert.Rule {
+func ruleMemoryAbuse() *expert.Rule {
 	return &expert.Rule{
 		Name:     "check_memory_abuse",
 		Salience: 8,
@@ -127,9 +131,10 @@ func (s *Secpert) ruleMemoryAbuse() *expert.Rule {
 			),
 		},
 		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("mem") >= s.cfg.MemHighBytes },
+			func(b *expert.Bindings) bool { return b.Int("mem") >= running(b).cfg.MemHighBytes },
 		},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
+			s := running(b)
 			mem := b.Int("mem")
 			sev := Low
 			key := "mem_high"
@@ -155,7 +160,7 @@ func isCloneCall(v expert.Value) bool {
 
 // ruleCloneCount is §4.2 rule 1: the number of new processes created
 // is high — Low.
-func (s *Secpert) ruleCloneCount() *expert.Rule {
+func ruleCloneCount() *expert.Rule {
 	return &expert.Rule{
 		Name:     "check_clone_count",
 		Salience: 8,
@@ -168,9 +173,10 @@ func (s *Secpert) ruleCloneCount() *expert.Rule {
 			),
 		},
 		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("count") >= s.cfg.CloneCountHigh },
+			func(b *expert.Bindings) bool { return b.Int("count") >= running(b).cfg.CloneCountHigh },
 		},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
+			s := running(b)
 			if s.once["clone_count"] {
 				return
 			}
@@ -183,7 +189,7 @@ func (s *Secpert) ruleCloneCount() *expert.Rule {
 
 // ruleCloneRate is §4.2 rule 2: the rate of new process creation is
 // high — Medium.
-func (s *Secpert) ruleCloneRate() *expert.Rule {
+func ruleCloneRate() *expert.Rule {
 	return &expert.Rule{
 		Name:     "check_clone_rate",
 		Salience: 8,
@@ -196,9 +202,10 @@ func (s *Secpert) ruleCloneRate() *expert.Rule {
 			),
 		},
 		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("rate") >= s.cfg.CloneRateHigh },
+			func(b *expert.Bindings) bool { return b.Int("rate") >= running(b).cfg.CloneRateHigh },
 		},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
+			s := running(b)
 			if s.once["clone_rate"] {
 				return
 			}
@@ -219,7 +226,7 @@ type finding struct {
 // write events. One write may yield several findings (the paper's
 // pwsafe run emits one warning per data source), each reported as its
 // own warning.
-func (s *Secpert) ruleCheckWrite() *expert.Rule {
+func ruleCheckWrite() *expert.Rule {
 	return &expert.Rule{
 		Name:     "check_write",
 		Salience: 5,
@@ -251,6 +258,7 @@ func (s *Secpert) ruleCheckWrite() *expert.Rule {
 			},
 		},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
+			s := running(b)
 			findings := s.analyzeWrite(b)
 			for _, f := range findings {
 				msg := strings.Join(f.lines, "\n    ")

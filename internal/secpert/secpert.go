@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/events"
 	"repro/internal/expert"
@@ -244,25 +245,78 @@ type Secpert struct {
 	curSources []taint.Source
 	curDesc    string
 
-	// slots is the event-fact slot map accessSlots/ioSlots refill.
-	slots map[string]expert.Value
+	pol *policy
 }
 
-// New builds a Secpert with the given policy configuration.
+// policy is the compiled Secpert rule base of one rule-set shape.
+// It is immutable and shared by every Secpert of that shape.
+type policy struct {
+	prog       *expert.Program
+	access, io expert.TemplateRef
+}
+
+// policies holds the compiled policy per rule-set shape, indexed by
+// [DisableInfoFlow][EnableMemoryAbuse]; each is built on first use.
+var policies [2][2]struct {
+	once sync.Once
+	pol  *policy
+}
+
+// policyFor returns the compiled policy for cfg's rule-set shape. No
+// other Config field shapes the program: rules read thresholds and
+// History from their run's Config at match time.
+func policyFor(cfg Config) *policy {
+	p := &policies[b2i(cfg.DisableInfoFlow)][b2i(cfg.EnableMemoryAbuse)]
+	p.once.Do(func() { p.pol = compilePolicy(cfg.DisableInfoFlow, cfg.EnableMemoryAbuse) })
+	return p.pol
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func compilePolicy(disableInfoFlow, memoryAbuse bool) *policy {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	prog := expert.NewProgram()
+	must(prog.DefTemplate(accessTemplate))
+	must(prog.DefTemplate(ioTemplate))
+	for _, r := range policyRules(disableInfoFlow, memoryAbuse) {
+		must(prog.DefRule(r))
+	}
+	pol := &policy{prog: prog}
+	pol.access, _ = prog.Template(accessTemplate.Name)
+	pol.io, _ = prog.Template(ioTemplate.Name)
+	return pol
+}
+
+// New builds a Secpert with the given policy configuration. Its engine
+// runs the process-wide compiled policy for cfg's rule-set shape and
+// owns only this run's working memory.
 func New(cfg Config, advisor Advisor) *Secpert {
+	return newWith(cfg, advisor, policyFor(cfg))
+}
+
+// newWith builds a Secpert whose engine runs the compiled policy pol.
+func newWith(cfg Config, advisor Advisor, pol *policy) *Secpert {
 	if advisor == nil {
 		advisor = ContinueAlways()
 	}
 	s := &Secpert{
 		cfg:     cfg,
-		eng:     expert.NewEngine(),
+		eng:     expert.NewEngineFor(pol.prog),
 		advisor: advisor,
 		origins: make(map[string][]taint.Source),
 		once:    make(map[string]bool),
-		slots:   make(map[string]expert.Value, 17), // system_call_io's slot count
+		pol:     pol,
 	}
-	s.defineTemplates()
-	s.defineRules()
+	s.eng.Env = s
 	return s
 }
 
@@ -298,6 +352,8 @@ func (s *Secpert) SetBus(b *obs.Bus) {
 func (s *Secpert) SetChainResolver(fn func([]taint.Source) []string) { s.chains = fn }
 
 // Engine exposes the underlying expert engine (for extension rules).
+// Rules and templates defined on it stay with this Secpert: the engine
+// copies the shared policy before its first change.
 func (s *Secpert) Engine() *expert.Engine { return s.eng }
 
 // Config returns the active configuration.
@@ -350,7 +406,7 @@ func (s *Secpert) HandleAccess(ev *events.Access) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_access", s.accessSlots(ev))
+	f, err := s.eng.AssertValues(s.pol.access, accessValues(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}
@@ -370,7 +426,7 @@ func (s *Secpert) HandleIO(ev *events.IO) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_io", s.ioSlots(ev))
+	f, err := s.eng.AssertValues(s.pol.io, ioValues(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}

@@ -5,80 +5,113 @@ import (
 	"repro/internal/expert"
 )
 
-// defineTemplates registers the fact shapes of paper Appendix A.1:
-// system_call_access for resource accesses and system_call_io for
-// data transfers.
-func (s *Secpert) defineTemplates() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(s.eng.DefTemplate(&expert.Template{
-		Name: "system_call_access",
-		Slots: []expert.SlotDef{
-			{Name: "system_call_name"},
-			{Name: "resource_name"},
-			{Name: "resource_type"},
-			{Name: "resource_origin_name", Multi: true},
-			{Name: "resource_origin_type", Multi: true},
-			{Name: "time", Default: int64(0)},
-			{Name: "frequency", Default: int64(0)},
-			{Name: "address", Default: ""},
-			{Name: "pid", Default: int64(0)},
-			{Name: "clone_count", Default: int64(0)},
-			{Name: "clone_rate", Default: int64(0)},
-			{Name: "mem_bytes", Default: int64(0)},
-		},
-	}))
-	must(s.eng.DefTemplate(&expert.Template{
-		Name: "system_call_io",
-		Slots: []expert.SlotDef{
-			{Name: "system_call_name"},
-			{Name: "direction"},
-			{Name: "data_source_type", Multi: true},
-			{Name: "data_source_name", Multi: true},
-			{Name: "resource_name"},
-			{Name: "resource_type"},
-			{Name: "resource_origin_name", Multi: true},
-			{Name: "resource_origin_type", Multi: true},
-			{Name: "head", Default: ""},
-			{Name: "server", Default: "no"},
-			{Name: "server_addr", Default: ""},
-			{Name: "server_origin_name", Multi: true},
-			{Name: "server_origin_type", Multi: true},
-			{Name: "time", Default: int64(0)},
-			{Name: "frequency", Default: int64(0)},
-			{Name: "address", Default: ""},
-			{Name: "pid", Default: int64(0)},
-		},
-	}))
+// The fact shapes of paper Appendix A.1: system_call_access for
+// resource accesses and system_call_io for data transfers. Each slot's
+// position is a constant, so an event fills its fact by position
+// without naming slots (expert.Engine.AssertValues).
+
+// system_call_access slot positions.
+const (
+	aCall = iota
+	aName
+	aType
+	aOriginName
+	aOriginType
+	aTime
+	aFreq
+	aAddr
+	aPID
+	aCloneCount
+	aCloneRate
+	aMemBytes
+	accessSlotCount
+)
+
+// system_call_io slot positions.
+const (
+	ioCall = iota
+	ioDir
+	ioDataType
+	ioDataName
+	ioName
+	ioType
+	ioOriginName
+	ioOriginType
+	ioHead
+	ioServer
+	ioServerAddr
+	ioServerOriginName
+	ioServerOriginType
+	ioTime
+	ioFreq
+	ioAddr
+	ioPID
+	ioSlotCount
+)
+
+var accessTemplate = &expert.Template{
+	Name: "system_call_access",
+	Slots: []expert.SlotDef{
+		aCall:       {Name: "system_call_name"},
+		aName:       {Name: "resource_name"},
+		aType:       {Name: "resource_type"},
+		aOriginName: {Name: "resource_origin_name", Multi: true},
+		aOriginType: {Name: "resource_origin_type", Multi: true},
+		aTime:       {Name: "time", Default: int64(0)},
+		aFreq:       {Name: "frequency", Default: int64(0)},
+		aAddr:       {Name: "address", Default: ""},
+		aPID:        {Name: "pid", Default: int64(0)},
+		aCloneCount: {Name: "clone_count", Default: int64(0)},
+		aCloneRate:  {Name: "clone_rate", Default: int64(0)},
+		aMemBytes:   {Name: "mem_bytes", Default: int64(0)},
+	},
 }
 
-// accessSlots converts an Access event into fact slots. It fills the
-// slot map s owns, cleared per event: Assert copies the values out.
-func (s *Secpert) accessSlots(ev *events.Access) map[string]expert.Value {
+var ioTemplate = &expert.Template{
+	Name: "system_call_io",
+	Slots: []expert.SlotDef{
+		ioCall:             {Name: "system_call_name"},
+		ioDir:              {Name: "direction"},
+		ioDataType:         {Name: "data_source_type", Multi: true},
+		ioDataName:         {Name: "data_source_name", Multi: true},
+		ioName:             {Name: "resource_name"},
+		ioType:             {Name: "resource_type"},
+		ioOriginName:       {Name: "resource_origin_name", Multi: true},
+		ioOriginType:       {Name: "resource_origin_type", Multi: true},
+		ioHead:             {Name: "head", Default: ""},
+		ioServer:           {Name: "server", Default: "no"},
+		ioServerAddr:       {Name: "server_addr", Default: ""},
+		ioServerOriginName: {Name: "server_origin_name", Multi: true},
+		ioServerOriginType: {Name: "server_origin_type", Multi: true},
+		ioTime:             {Name: "time", Default: int64(0)},
+		ioFreq:             {Name: "frequency", Default: int64(0)},
+		ioAddr:             {Name: "address", Default: ""},
+		ioPID:              {Name: "pid", Default: int64(0)},
+	},
+}
+
+// accessValues converts an Access event into fact values, by slot
+// position. The engine keeps the slice.
+func accessValues(ev *events.Access) []expert.Value {
 	types, names := sourceLists(ev.Resource.Origin)
-	m := s.slots
-	clear(m)
-	m["system_call_name"] = ev.Call
-	m["resource_name"] = ev.Resource.Name
-	m["resource_type"] = ev.Resource.Type.String()
-	m["resource_origin_name"] = names
-	m["resource_origin_type"] = types
-	m["time"] = int64(ev.Time)
-	m["frequency"] = ev.Freq
-	m["address"] = ev.Addr
-	m["pid"] = int64(ev.PID)
-	m["clone_count"] = ev.CloneCount
-	m["clone_rate"] = ev.CloneRate
-	m["mem_bytes"] = ev.MemBytes
-	return m
+	v := make([]expert.Value, accessSlotCount)
+	v[aCall] = ev.Call
+	v[aName] = ev.Resource.Name
+	v[aType] = ev.Resource.Type.String()
+	v[aOriginName] = names
+	v[aOriginType] = types
+	v[aTime] = int64(ev.Time)
+	v[aFreq] = ev.Freq
+	v[aAddr] = ev.Addr
+	v[aPID] = int64(ev.PID)
+	v[aCloneCount] = ev.CloneCount
+	v[aCloneRate] = ev.CloneRate
+	v[aMemBytes] = ev.MemBytes
+	return v
 }
 
-// ioSlots converts an IO event into fact slots, in the same owned map
-// as accessSlots.
-func (s *Secpert) ioSlots(ev *events.IO) map[string]expert.Value {
+// ioValues converts an IO event into fact values, by slot position.
+func ioValues(ev *events.IO) []expert.Value {
 	dTypes, dNames := sourceLists(ev.Data)
 	oTypes, oNames := sourceLists(ev.Resource.Origin)
 	sTypes, sNames := sourceLists(ev.ServerOrigin)
@@ -86,24 +119,23 @@ func (s *Secpert) ioSlots(ev *events.IO) map[string]expert.Value {
 	if ev.Server {
 		server = "yes"
 	}
-	m := s.slots
-	clear(m)
-	m["system_call_name"] = ev.Call
-	m["direction"] = ev.Dir.String()
-	m["data_source_type"] = dTypes
-	m["data_source_name"] = dNames
-	m["resource_name"] = ev.Resource.Name
-	m["resource_type"] = ev.Resource.Type.String()
-	m["resource_origin_name"] = oNames
-	m["resource_origin_type"] = oTypes
-	m["head"] = string(ev.Head)
-	m["server"] = server
-	m["server_addr"] = ev.ServerAddr
-	m["server_origin_name"] = sNames
-	m["server_origin_type"] = sTypes
-	m["time"] = int64(ev.Time)
-	m["frequency"] = ev.Freq
-	m["address"] = ev.Addr
-	m["pid"] = int64(ev.PID)
-	return m
+	v := make([]expert.Value, ioSlotCount)
+	v[ioCall] = ev.Call
+	v[ioDir] = ev.Dir.String()
+	v[ioDataType] = dTypes
+	v[ioDataName] = dNames
+	v[ioName] = ev.Resource.Name
+	v[ioType] = ev.Resource.Type.String()
+	v[ioOriginName] = oNames
+	v[ioOriginType] = oTypes
+	v[ioHead] = string(ev.Head)
+	v[ioServer] = server
+	v[ioServerAddr] = ev.ServerAddr
+	v[ioServerOriginName] = sNames
+	v[ioServerOriginType] = sTypes
+	v[ioTime] = int64(ev.Time)
+	v[ioFreq] = ev.Freq
+	v[ioAddr] = ev.Addr
+	v[ioPID] = int64(ev.PID)
+	return v
 }

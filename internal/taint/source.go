@@ -10,6 +10,7 @@ package taint
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -91,9 +92,21 @@ type Tag uint32
 // Empty is the untainted tag: the empty source set.
 const Empty Tag = 0
 
-// unionCacheSize is the number of slots in the direct-mapped union
-// cache fronting the unions map. Must be a power of two.
-const unionCacheSize = 4096
+// The direct-mapped union cache fronting the unions map grows with
+// the map: it starts at unionCacheMin slots with the first cached
+// union and doubles whenever the map holds more than half as many
+// entries as it has slots, up to unionCacheSize. A store that never
+// unions two tainted sets allocates none of it.
+// Both sizes are powers of two.
+const (
+	unionCacheMin  = 16
+	unionCacheSize = 4096
+)
+
+// noUnionCache is the cache of a store that has cached no union: its
+// one zero entry matches no probe, and the store grows away from it
+// before writing any entry, so every store may share it.
+var noUnionCache = []unionEntry{{}}
 
 // WideName is the placeholder resource name carried by summarized
 // sources once a set exceeds the store's width budget. A wide source
@@ -124,8 +137,11 @@ type Store struct {
 	wideN       uint64 // statistics: sets summarized to wide sources
 
 	// ucache is a direct-mapped cache probed before the unions map:
-	// one array read against three map-hash probes in the hot loop.
-	ucache [unionCacheSize]unionEntry
+	// one slice read against three map-hash probes in the hot loop.
+	// A pair's slot is the top bits of its hash, so ushift is 32 less
+	// log2(len(ucache)); the shift of 32 leaves noUnionCache's slot 0.
+	ucache []unionEntry
+	ushift uint32
 }
 
 // NewStore returns an empty store whose tag 0 is the empty set.
@@ -135,6 +151,8 @@ func NewStore() *Store {
 		index:   map[string]Tag{"": Empty},
 		unions:  make(map[[2]Tag]Tag),
 		singles: make(map[Source]Tag),
+		ucache:  noUnionCache,
+		ushift:  32,
 	}
 }
 
@@ -255,7 +273,8 @@ func (st *Store) Union(a, b Tag) Tag {
 		a, b = b, a
 	}
 	st.unionN++
-	slot := &st.ucache[(uint32(a)*0x9E3779B1^uint32(b)*0x85EBCA77)&(unionCacheSize-1)]
+	h := pairHash(a, b)
+	slot := &st.ucache[h>>st.ushift]
 	if slot.a == a && slot.b == b {
 		st.hitN++
 		st.fastN++
@@ -287,9 +306,30 @@ func (st *Store) Union(a, b Tag) Tag {
 	merged = append(merged, sb[j:]...)
 	t := st.intern(merged)
 	st.unions[[2]Tag{a, b}] = t
-	*slot = unionEntry{a, b, t}
+	if n := len(st.ucache); 2*len(st.unions) > n && n < unionCacheSize {
+		st.growUnionCache()
+	}
+	st.ucache[h>>st.ushift] = unionEntry{a, b, t}
 	return t
 }
+
+// growUnionCache doubles the union cache (or allocates its first
+// unionCacheMin slots), carrying the cached entries over. The entries
+// evicted along the way stay in the unions map.
+func (st *Store) growUnionCache() {
+	n := max(2*len(st.ucache), unionCacheMin)
+	old := st.ucache
+	st.ucache = make([]unionEntry, n)
+	st.ushift = uint32(32 - bits.TrailingZeros(uint(n)))
+	for _, e := range old {
+		if e.a != 0 {
+			st.ucache[pairHash(e.a, e.b)>>st.ushift] = e
+		}
+	}
+}
+
+// pairHash mixes a union's operands; the cache indexes by its top bits.
+func pairHash(a, b Tag) uint32 { return uint32(a)*0x9E3779B1 ^ uint32(b)*0x85EBCA77 }
 
 // Union4 returns the tag for the union of four source sets: the tag a
 // 32-bit load observes on a byte-granular shadow page. It reuses the

@@ -18,12 +18,13 @@
 #      machine with HTH_BENCHGATE_BASELINE/HTH_BENCHGATE_TOLERANCE.
 #   3. allocs/op and B/op ceilings for the real workload and the monitor
 #      path (deterministic):
-#      the Table 4 and Table 6 corpus benchmarks are mostly per-job
+#      the Table 4, 5, 6 and 8 corpus benchmarks are mostly per-job
 #      fixed cost — building the guest world, loading, fork, Secpert —
 #      so their allocation counts pin that cost. The ceilings are
 #      constants below, set ≤10% above the measurement taken when they
-#      were last lowered; re-assembling the guest libc per job or
-#      copying every page on fork blows through them.
+#      were last lowered; re-assembling the guest libc per job, copying
+#      every page on fork, recompiling the Secpert policy per job or
+#      zeroing a full-size union cache per job blows through them.
 #      BenchmarkWarningThroughput pins the monitor path the same way: a
 #      guest raising hundreds of Secpert events per op, so an
 #      allocation added to the expert engine's per-event match shows
@@ -102,10 +103,12 @@ echo "$out" | awk -v best=0 -v allocs=0 -v base="$baseline" -v tol="$tolerance" 
 
 # Real-workload and monitor-path allocation ceilings (see 3. above):
 # benchmark, allocs/op ceiling, B/op ceiling.
-tableceilings='BenchmarkTable4ExecutionFlow 1530 640000
-BenchmarkTable6InformationFlow 9700 3630000
-BenchmarkWarningThroughput 5940 440000'
-tout=$(go test -run '^$' -bench 'Benchmark(Table(4ExecutionFlow|6InformationFlow)|WarningThroughput)$' -benchmem \
+tableceilings='BenchmarkTable4ExecutionFlow 1120 361000
+BenchmarkTable5ResourceAbuse 1770 221000
+BenchmarkTable6InformationFlow 7560 2120000
+BenchmarkTable8RealExploits 6000 1670000
+BenchmarkWarningThroughput 5840 369000'
+tout=$(go test -run '^$' -bench 'Benchmark(Table(4ExecutionFlow|5ResourceAbuse|6InformationFlow|8RealExploits)|WarningThroughput)$' -benchmem \
     -benchtime 20x .)
 echo "$tout"
 
