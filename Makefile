@@ -48,13 +48,15 @@ elf:
 	$(GO) test -fuzz=FuzzELFParse -fuzztime=10s ./internal/image
 
 # The clean-tier gate: the full-corpus differential sweep (the
-# interpreter tier alone vs traces with the clean tier off and on,
+# interpreter tier alone vs traces running bare under no-op verdicts,
 # signatures bit-identical), the page-flip seam units, the
-# chaos-delayed recv re-instrumentation regression, and a fuzz smoke
-# over the mid-run taint-injection oracle.
+# deterministic verdict-staleness cases (each key field and stamp),
+# the chaos-delayed recv re-instrumentation regression, and a fuzz
+# smoke over the mid-run taint-injection oracle.
 clean-tier:
 	$(GO) test -count=1 -run 'TestCleanTierDifferentialSweep|TestCleanTierReinstrumentOnDelayedRecv' ./internal/corpus
-	$(GO) test -count=1 -run 'TestShadowSourceAfterCachedNil|TestShadowPageFlipSeam' ./internal/taint
+	$(GO) test -count=1 -run 'TestShadowSourceAfterCachedNil|TestShadowPageFlipSeam|TestShadowCOWDifferential' ./internal/taint
+	$(GO) test -count=1 -run 'TestVerdictStaleness|TestTierTimerCleanEntriesRecordNoTraceTime' ./internal/harrier
 	$(GO) test -fuzz=FuzzCleanReinstrument -fuzztime=10s ./internal/harrier
 
 # The span-tracing gate: the hth-trace span/summary goldens, the

@@ -95,17 +95,8 @@ func BenchmarkPerfMemInterpDataflow(b *testing.B) {
 	benchPerf(b, "mem", corpus.PerfFull, interpTier)
 }
 
-// noCleanTier caps the engine at the trace tier — the configuration
-// BenchmarkPerfMemSparseTaint is A/B-measured against. The sparse
-// workload's moving pointer defeats the value-keyed clean-taint gate,
-// so this is the full-transfer trace path.
-func noCleanTier(cfg *hth.Config) { cfg.Monitor.CleanThreshold = 0 }
-
 func BenchmarkPerfMemSparseTaint(b *testing.B) {
 	benchPerf(b, "sparse", corpus.PerfFull, nil)
-}
-func BenchmarkPerfMemSparseTaintNoClean(b *testing.B) {
-	benchPerf(b, "sparse", corpus.PerfFull, noCleanTier)
 }
 
 // BenchmarkFigure3BBAttribution exercises the application↔shared

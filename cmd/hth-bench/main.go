@@ -270,18 +270,19 @@ type perfRow struct {
 
 	// Trace tier statistics (zero outside full mode): hot blocks
 	// promoted into superblock traces, hot blocks pinned untraceable,
-	// block entries served inside a trace, side exits taken, and trace
-	// entries dispatched tag-free through the clean-taint gate.
+	// block entries served with full transfer inside a trace, side exits
+	// taken, and bare trace runs served by a value-keyed no-op verdict.
 	TraceCompiled  uint64 `json:"trace_compiled,omitempty"`
 	TierPinned     uint64 `json:"tier_pinned,omitempty"`
 	TraceHits      uint64 `json:"trace_hits,omitempty"`
 	TraceSideExits uint64 `json:"trace_side_exits,omitempty"`
 	GateSkips      uint64 `json:"gate_skips,omitempty"`
 
-	// Clean tier statistics (zero outside full mode): block/trace
-	// entries that ran fully uninstrumented, verdicts cached by the
-	// demotion machinery, and cached verdicts dropped because taint
-	// reached their footprint (the re-instrumentation events).
+	// Clean tier statistics (zero outside full mode): block entries
+	// that ran bare under a no-op verdict of either form, page-keyed
+	// verdicts proved and cached, and page-keyed verdicts dropped
+	// because taint reached their footprint (the re-instrumentation
+	// events).
 	CleanHits         uint64 `json:"clean_hits,omitempty"`
 	CleanDemotions    uint64 `json:"clean_demotions,omitempty"`
 	ReinstrumentCount uint64 `json:"reinstrument_count,omitempty"`
@@ -317,17 +318,17 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 			if bare > 0 {
 				slow = fmt.Sprintf("%.2fx", float64(elapsed)/float64(bare))
 			}
-			// Trace-tier share of all block entries, and the fraction of
-			// trace dispatches the clean-taint gate served tag-free.
+			// Full-transfer trace share of all block entries, and the bare
+			// trace runs value-keyed verdicts served.
 			trace, gate := "—", "—"
 			if res.Stats.TraceCompiled > 0 {
 				trace = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.TraceHits)/float64(res.Stats.Blocks))
 				gate = fmt.Sprint(res.Stats.GateSkips)
 			}
 			// Clean-tier share of all block entries: the fraction that ran
-			// fully uninstrumented after a footprint proof.
+			// bare under a verdict of either form.
 			clean := "—"
-			if res.Stats.CleanDemoted > 0 {
+			if res.Stats.CleanHits > 0 {
 				clean = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.CleanHits)/float64(res.Stats.Blocks))
 			}
 			t.Add(wl, mode.String(), fmt.Sprint(res.TotalSteps),

@@ -98,20 +98,18 @@ scargs: .space 12
 
 // TestCleanTierReinstrumentOnDelayedRecv is the end-to-end regression
 // for the page-flip seam (the system-level face of taint's
-// TestShadowSourceAfterCachedNil): a block demoted to the clean tier
-// with a cached nil-page verdict must be re-instrumented when a
-// chaos-delayed recv makes that page go zero→nonzero, and the
-// resulting socket→file flow must be reported exactly as it is with
-// the clean tier off.
+// TestShadowSourceAfterCachedNil): a trace running bare under a cached
+// nil-page verdict must be re-instrumented when a chaos-delayed recv
+// makes that page go zero→nonzero, and the resulting socket→file flow
+// must be reported exactly as the interpreter tier reports it.
 func TestCleanTierReinstrumentOnDelayedRecv(t *testing.T) {
-	run := func(cleanThreshold int, plan *chaos.Plan) *hth.Result {
+	run := func(promote int, plan *chaos.Plan) *hth.Result {
 		sys := hth.NewSystem()
 		sys.ScheduleConnect(100, "0.0.0.0:9009", "intruder:7777",
 			&attackerScript{sends: []string{"DROP-16-BYTES-IN"}})
 		sys.MustInstallSource("/bin/lurker", lurkerSrc)
 		cfg := hth.DefaultConfig()
-		cfg.Monitor.PromoteThreshold = 1
-		cfg.Monitor.CleanThreshold = cleanThreshold
+		cfg.Monitor.PromoteThreshold = promote
 		cfg.Chaos = plan
 		res, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/lurker"})
 		if err != nil {
@@ -152,16 +150,16 @@ func TestCleanTierReinstrumentOnDelayedRecv(t *testing.T) {
 		t.Fatalf("socket->file flow not detected; warnings: %+v", res.Warnings)
 	}
 
-	// The clean tier must not change what is reported: same warnings as
-	// the instrumented-only run under the identical chaos plan.
+	// Bare runs must not change what is reported: same warnings as the
+	// interpreter tier under the identical chaos plan.
 	ref := run(0, plan)
 	if len(ref.Warnings) != len(res.Warnings) {
-		t.Fatalf("warning count diverged: clean-on %d, clean-off %d",
+		t.Fatalf("warning count diverged: traces %d, interpreter %d",
 			len(res.Warnings), len(ref.Warnings))
 	}
 	for i := range ref.Warnings {
 		if ref.Warnings[i].Message != res.Warnings[i].Message {
-			t.Errorf("warning %d diverged:\n  off: %s\n  on:  %s",
+			t.Errorf("warning %d diverged:\n  interpreter: %s\n  traces:      %s",
 				i, ref.Warnings[i].Message, res.Warnings[i].Message)
 		}
 	}

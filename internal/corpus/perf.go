@@ -65,13 +65,13 @@ dst: .space 64
 // the hot loop streams words between two scratch pages at
 // 0x200000/0x201000, runtime-written memory far from both tbuf's
 // shadow page and the binary image (whose bytes the loader tags at
-// load time). This is the regime the clean tier targets: the moving
-// pointer defeats the value-keyed clean-taint gate (128 distinct edi
-// values per pass against 16 gate ways), so the trace tier pays the
-// full word-granular shadow transfer on every entry — yet the loop's
-// whole footprint stays on taint-free pages, so the value-independent
-// clean proof holds everywhere and the clean tier runs the copy at
-// concrete speed.
+// load time). This is the regime page-keyed verdicts target: the
+// moving pointer defeats value-keyed verdicts (128 distinct edi values
+// per pass against 16 verdict ways), so without a value-independent
+// proof the trace tier would pay the full word-granular shadow
+// transfer on every entry — yet the loop's whole footprint stays on
+// taint-free pages, so the page-keyed proof holds everywhere and the
+// copy runs bare, at concrete speed.
 const sparseWorkload = `
 .text
 _start:

@@ -13,7 +13,7 @@ import (
 // sweep signatures must match element-wise in every cell. Detections,
 // reported tag sets and injected faults are therefore bit-identical
 // whether blocks execute in the interpreter, as compiled traces, or
-// through the clean-taint gate's tag-free fast path.
+// bare under a no-op verdict.
 func TestTraceDifferentialSweep(t *testing.T) {
 	scs := All()
 	cell := func(promote int, prov bool) []RunOutcome {
@@ -40,7 +40,8 @@ func TestTraceDifferentialSweep(t *testing.T) {
 		}
 	}
 	// The traced cells must actually have exercised the trace tier —
-	// and the gate — or the comparison proves nothing.
+	// and bare runs under value-keyed verdicts — or the comparison
+	// proves nothing.
 	traced := cell(1, false)
 	hits, gated := 0, 0
 	for _, o := range traced {
@@ -58,7 +59,7 @@ func TestTraceDifferentialSweep(t *testing.T) {
 		t.Fatal("no scenario took the trace tier; differential sweep is vacuous")
 	}
 	if gated == 0 {
-		t.Fatal("no scenario took the clean-taint gate; the bare path is untested")
+		t.Fatal("no scenario ran bare under a value-keyed verdict; the bare path is untested")
 	}
-	t.Logf("trace tier exercised by %d/%d scenarios, gate by %d", hits, len(traced), gated)
+	t.Logf("trace tier exercised by %d/%d scenarios, value-keyed verdicts by %d", hits, len(traced), gated)
 }

@@ -4,67 +4,66 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/taint"
-	"repro/internal/vos"
 )
 
-// This file is the uninstrumented variant of the trace tier: the
-// *clean tier*, the dynamic form of taint-scoped partial
-// instrumentation (PAPERS.md, Thakur 2024). The clean-taint gate in
-// trace.go already skips taint transfer for traces whose effect was
-// verified stationary — but its verdicts are keyed on the concrete
-// *values* of the address-forming registers, so a loop that walks a
-// moving pointer misses the gate on every entry and pays the full
-// transfer forever, even though it never goes near a tag.
+// This file is the no-op verdict cache of the trace tier: the dynamic
+// form of taint-scoped partial instrumentation (PAPERS.md, Thakur
+// 2024). Most hot code moves already-tagged data over identically-
+// tagged destinations, or never goes near a tag at all, so its taint
+// transfer writes nothing. A verdict records that fact for one trace:
+// from this shadow and these entry register tags, the transfer is a
+// no-op through mop index end. A trace entry that matches a live
+// verdict runs the *bare* variant (runTraceBare) — concrete semantics
+// only, no shadow lookups, no unions — and hands the rest of the
+// program, if any, to the full-transfer loop at the first block
+// boundary the verdict does not cover.
 //
-// The clean tier closes that hole with a value-INDEPENDENT proof.
-// A trace is demotable when its whole memory footprint is expressible
-// as entry-register + displacement (the same symbolic-address property
-// the gate already relies on; see summary.go). At entry, the footprint
-// resolves to a small set of shadow pages; if every one of those pages
-// holds no tainted byte, every load in the trace reads the Empty tag —
-// so each mop's transfer can be checked for no-op-ness against the
-// entry register tags alone, one compare or union per mop, with zero
-// shadow traffic:
+// A verdict has one of two key forms. Both need the trace's whole
+// memory footprint to be expressible as entry-register + displacement
+// (the symbolic address domain of summary.go):
 //
-//   - a load into a register is a no-op iff the register is untainted;
-//   - a store of a register or immediate is a no-op iff the stored
-//     tag is Empty (writing Empty over a clean page changes nothing);
-//   - memory-to-memory moves over clean pages move Empty to Empty;
-//   - register-to-register moves and unions are no-ops iff the
-//     destination already carries the result.
+//   - page-keyed: the footprint resolves to at most verdictKeys shadow
+//     pages, all clean. If every page holds no tainted byte, every load
+//     reads the Empty tag, so each mop's transfer is checked for no-op-
+//     ness against the entry register tags alone (cleanMopsNoop), with
+//     zero shadow traffic. The proof is static and value-independent:
+//     a loop walking a pointer over clean memory keeps hitting it. It
+//     covers the whole program (end = len(mops)) and is stamped with
+//     Shadow.FlipGen, which moves exactly when some page's tainted
+//     population crosses zero→nonzero (and on Reset). A stale stamp
+//     re-checks the pages with Shadow.PageClean: still clean refreshes
+//     the stamp, taint on a page drops the verdict before anything runs
+//     (stats.Reinstrumented).
+//   - value-keyed: the key adds the concrete entry values of the (at
+//     most verdictKeys) registers that form the trace's addresses, so
+//     every address the run resolves is fixed. It is proved by a
+//     *verify* run: the full-transfer loop ends with no register-tag
+//     change, no fault and an unchanged Shadow.Gen, which moves on
+//     every write that changes a stored tag. It is stamped with that
+//     Gen and covers the prefix the verify run executed; re-verifying
+//     the same key at the same generation extends end, a new
+//     generation replaces the verdict.
 //
 // Each verified mop leaves the tag state exactly as it found it, so by
-// induction the entry tags stay valid for the whole program and any
-// executed *prefix* of it — which is what makes the proof sound for
-// traces, whose side exits and budget exits run prefixes. A passing
-// proof is cached as a cleanEnt keyed on (shadow, entry register
-// tags, resolved page set) and the trace runs UNINSTRUMENTED: no
-// shadow lookups, no unions, no per-instruction hooks — concrete
-// semantics only (runTraceBare end to end).
-//
-// Re-instrumentation is the correctness bar. A cached verdict can rot
-// only when taint *arrives* at one of its footprint pages, and a page
-// can only go dirty through a zero→nonzero population flip — the
-// event taint.Shadow.FlipGen counts and Shadow.OnPageFlip reports
-// synchronously. Every cleanEnt snapshots the flip generation (and
-// Harrier's taint-source epoch, advanced by the vos TaintSource seam
-// and by the flip listener); a probe whose snapshot is stale
-// re-checks its pages directly via Shadow.PageClean and either
-// refreshes or drops the entry (stats.Reinstrumented) — so the first
-// trace entry after taint lands is back on the instrumented tier,
-// before a single op of it executes. Detections can therefore never
-// be lost: the uninstrumented variant only ever runs under a live
-// proof that the instrumented variant would have done nothing.
+// induction the entry tags stay valid for the whole covered prefix —
+// which is what makes a verdict sound for traces, whose side exits and
+// budget exits run prefixes, and for a mop that faults inside a bare
+// run. The shadow's own counters are the only invalidation source:
+// every tag that arrives on a clean page, whatever wrote it (a guest
+// store, a taint-source syscall, a fork relative's copy-on-write), goes
+// through the shadow's write path and moves FlipGen and Gen before the
+// writer regains control.
 const (
-	// cleanMaxPages caps the distinct shadow pages a resolved
-	// footprint may touch; an interval wider than the page budget
-	// fails resolution and the trace simply stays on its tier.
-	cleanMaxPages = 4
-	// cleanWays is how many cached verdicts (distinct entry-tag /
-	// page-set states) one trace holds.
-	cleanWays = 4
-	// cleanMaxStrikes bounds failed demotion attempts per trace: a
-	// trace whose proof keeps failing stops burning probe work.
+	// verdictWays is how many verdicts (distinct entry states) one
+	// trace holds. Sized for loops whose entry register values cycle
+	// through more phases than a handful: scheduler slices cutting a
+	// loop trace at varying offsets produce exactly that pattern.
+	verdictWays = 16
+	// verdictKeys caps both the pages a resolved footprint may touch
+	// and the address-forming registers a value-keyed verdict keys on.
+	verdictKeys = 4
+	// cleanMaxStrikes bounds failed page proofs per trace: a trace
+	// whose proof keeps failing stops burning probe work.
 	cleanMaxStrikes = 8
 	// cleanPageShift converts an address to its shadow-page index;
 	// must match taint.Shadow's page geometry (4 KiB).
@@ -87,42 +86,51 @@ type fpEnt struct {
 	lo, hi int64
 }
 
-// cleanEnt is one cached clean verdict: with this shadow, these entry
-// register tags and this resolved page set — all of them clean as of
-// the snapshotted flip generation and source epoch — the trace's
-// whole taint transfer is a no-op.
-type cleanEnt struct {
+// verdict is one cached no-op proof (see the file comment). keys holds
+// the resolved page indices of a page-keyed verdict, or the entry
+// values of the trace's base registers of a value-keyed one; slots
+// past the live count stay zero, so whole-array compares are exact.
+type verdict struct {
 	sh    *taint.Shadow
-	flip  uint64
-	src   uint64
-	nPg   int
-	pages [cleanMaxPages]uint32
+	stamp uint64 // FlipGen (page-keyed) or Gen (value-keyed) at proof time
+	end   int32  // first mop the proof does not cover
+	nPg   uint8  // page-keyed: live pages in keys
+	byVal bool
+	keys  [verdictKeys]uint32
 	tags  [isa.NumRegs]taint.Tag
 }
 
-// cleanState is the demotion state embedded in a blockTrace. ok is
-// decided once at compile time (footprint expressible); ways fill as
-// entry states prove clean and are replaced round-robin.
-type cleanState struct {
-	ok        bool
+// verdictCache is the per-trace cache, embedded in a blockTrace. ok is
+// decided at compile time (footprint expressible, cache on); byVal adds
+// the value-keyed form when the footprint has at most verdictKeys base
+// registers, listed in inRegs. Ways fill as entry states prove no-op
+// and are replaced round-robin.
+type verdictCache struct {
+	ok, byVal bool
 	announced bool // KindBBClean published (once per trace)
 	strikes   int8
-	n         int // live ways
-	rr        int // round-robin victim when full
+	nIn       uint8
+	n, rr     uint8 // live ways; round-robin victim when full
+	inRegs    [verdictKeys]uint8
 	fp        []fpEnt
-	ways      [cleanWays]cleanEnt
+	ways      [verdictWays]verdict
 }
 
-// initFootprint arms demotion from the path's symbolic access
-// summary: every access widens its base register's interval.
-func (cs *cleanState) initFootprint(acc []sumAccess) {
+// init arms the cache from the path's symbolic access summary: every
+// access widens its base register's footprint interval, and the
+// registers behind the intervals become the value-keyed key.
+func (vc *verdictCache) init(acc []sumAccess) {
 	fp := make([]fpEnt, 0, isa.NumRegs+1)
+	var mask uint32
 outer:
 	for _, a := range acc {
 		lo := int64(int32(a.disp))
 		hi := lo
 		if a.wide {
 			hi += 3
+		}
+		if a.base != sumNoBase {
+			mask |= 1 << a.base
 		}
 		for i := range fp {
 			if fp[i].base == a.base {
@@ -133,19 +141,29 @@ outer:
 		}
 		fp = append(fp, fpEnt{base: a.base, lo: lo, hi: hi})
 	}
-	cs.fp = fp
-	cs.ok = true
+	vc.fp, vc.ok, vc.byVal = fp, true, true
+	for r := uint8(0); r < uint8(isa.NumRegs); r++ {
+		if mask&(1<<r) == 0 {
+			continue
+		}
+		if vc.nIn == verdictKeys {
+			vc.byVal, vc.nIn = false, 0
+			return
+		}
+		vc.inRegs[vc.nIn] = r
+		vc.nIn++
+	}
 }
 
 // addPage dedups pg into pages[:n], returning the new length and
 // false when the distinct-page cap is hit.
-func addPage(pages *[cleanMaxPages]uint32, n int, pg uint32) (int, bool) {
+func addPage(pages *[verdictKeys]uint32, n int, pg uint32) (int, bool) {
 	for k := 0; k < n; k++ {
 		if pages[k] == pg {
 			return n, true
 		}
 	}
-	if n == cleanMaxPages {
+	if n == verdictKeys {
 		return n, false
 	}
 	pages[n] = pg
@@ -156,23 +174,22 @@ func addPage(pages *[cleanMaxPages]uint32, n int, pg uint32) (int, bool) {
 // using the entry register values: each interval contributes every
 // page from its first byte to its last. An interval wider than the
 // page budget, or one wrapping around the address space, fails
-// resolution. pages beyond the returned count stay zero, so
-// whole-array compares between probes are exact.
-func (cs *cleanState) resolvePages(c *isa.CPU, pages *[cleanMaxPages]uint32) (int, bool) {
+// resolution.
+func (vc *verdictCache) resolvePages(c *isa.CPU, pages *[verdictKeys]uint32) (int, bool) {
 	n := 0
 	ok := true
-	for i := range cs.fp {
-		e := &cs.fp[i]
+	for i := range vc.fp {
+		e := &vc.fp[i]
 		var base uint32
 		if e.base != sumNoBase {
 			base = c.Regs[e.base]
 		}
-		if e.hi-e.lo >= cleanMaxPages<<cleanPageShift {
+		if e.hi-e.lo >= verdictKeys<<cleanPageShift {
 			return 0, false // interval wider than the page budget
 		}
 		start := base + uint32(e.lo)
 		first, last := start>>cleanPageShift, (start+uint32(e.hi-e.lo))>>cleanPageShift
-		if last-first >= cleanMaxPages {
+		if last-first >= verdictKeys {
 			return 0, false // too many pages, or wraps around the address space
 		}
 		for pg := first; ; pg++ {
@@ -187,64 +204,84 @@ func (cs *cleanState) resolvePages(c *isa.CPU, pages *[cleanMaxPages]uint32) (in
 	return n, true
 }
 
-// lookup probes the cached ways for (sh, entry tags, page set). A hit
-// with fresh epochs returns immediately; a hit with stale epochs
-// re-checks the pages directly — still clean refreshes the snapshot,
-// taint on a page drops the way (the re-instrumentation event).
-// Returns whether a valid way matched.
-func (cs *cleanState) lookup(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[cleanMaxPages]uint32, nPg int) bool {
-	for e := 0; e < cs.n; e++ {
-		w := &cs.ways[e]
-		if w.sh != sh || w.nPg != nPg || w.pages != *pages || w.tags != c.RegTags {
-			continue
-		}
-		if w.flip == sh.FlipGen() && w.src == h.cleanEpoch {
-			return true
-		}
-		for k := 0; k < nPg; k++ {
-			if !sh.PageClean(pages[k]) {
-				// Taint reached the footprint: drop the way and fall
-				// back to the instrumented tier before anything runs.
-				h.stats.Reinstrumented++
-				cs.n--
-				cs.ways[e] = cs.ways[cs.n]
-				cs.ways[cs.n] = cleanEnt{}
-				if cs.rr >= cleanWays {
-					cs.rr = 0
-				}
-				if cs.strikes < cleanMaxStrikes {
-					cs.strikes++
-				}
-				return false
-			}
-		}
-		w.flip, w.src = sh.FlipGen(), h.cleanEpoch
-		return true
+// slot returns the way a new verdict goes into: the next free one, or
+// the round-robin victim once all are live.
+func (vc *verdictCache) slot() *verdict {
+	if int(vc.n) < verdictWays {
+		vc.n++
+		return &vc.ways[vc.n-1]
 	}
-	return false
+	w := &vc.ways[vc.rr]
+	vc.rr = (vc.rr + 1) % verdictWays
+	return w
 }
 
-// install caches a fresh verdict, publishing the demotion event the
-// first time this trace ever goes clean.
-func (cs *cleanState) install(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[cleanMaxPages]uint32, nPg int, key bbKey) {
-	var w *cleanEnt
-	if cs.n < cleanWays {
-		w = &cs.ways[cs.n]
-		cs.n++
-	} else {
-		w = &cs.ways[cs.rr]
-		cs.rr = (cs.rr + 1) % cleanWays
+// probe looks the entry state up in the trace's cache, proving a page-
+// keyed verdict afresh on a miss. It returns the serving verdict, or
+// nil; vals receives the entry values of the value-keyed key, which a
+// verify run after a miss installs under.
+func (h *Harrier) probe(c *isa.CPU, tr *blockTrace, vals *[verdictKeys]uint32) *verdict {
+	vc := &tr.vc
+	sh := c.Shadow
+	var pages [verdictKeys]uint32
+	nPg, pageOK := vc.resolvePages(c, &pages)
+	for k := 0; k < int(vc.nIn); k++ {
+		vals[k] = c.Regs[vc.inRegs[k]]
 	}
-	*w = cleanEnt{
-		sh: sh, flip: sh.FlipGen(), src: h.cleanEpoch,
-		nPg: nPg, pages: *pages, tags: c.RegTags,
+	gen := sh.Gen()
+	for e := 0; e < int(vc.n); e++ {
+		w := &vc.ways[e]
+		if w.sh != sh {
+			continue
+		}
+		if w.byVal {
+			if w.stamp == gen && w.keys == *vals && w.tags == c.RegTags {
+				return w
+			}
+			continue
+		}
+		if !pageOK || int(w.nPg) != nPg || w.keys != pages || w.tags != c.RegTags {
+			continue
+		}
+		if w.stamp == sh.FlipGen() || w.stillClean(sh) {
+			return w
+		}
+		// Taint reached the footprint: drop the verdict and fall back
+		// to the instrumented trace before anything runs.
+		h.stats.Reinstrumented++
+		vc.n--
+		*w = vc.ways[vc.n]
+		vc.ways[vc.n] = verdict{}
+		if vc.strikes < cleanMaxStrikes {
+			vc.strikes++
+		}
+		break
 	}
-	cs.strikes = 0
+	if !pageOK || vc.strikes >= cleanMaxStrikes {
+		return nil
+	}
+	for k := 0; k < nPg; k++ {
+		if !sh.PageClean(pages[k]) {
+			vc.strikes++
+			return nil
+		}
+	}
+	if !h.cleanMopsNoop(tr.mops, &c.RegTags) {
+		vc.strikes++
+		return nil
+	}
+	w := vc.slot()
+	*w = verdict{
+		sh: sh, stamp: sh.FlipGen(), end: int32(len(tr.mops)),
+		nPg: uint8(nPg), keys: pages, tags: c.RegTags,
+	}
+	vc.strikes = 0
 	h.stats.CleanDemoted++
-	if !cs.announced {
-		cs.announced = true
+	if !vc.announced {
+		vc.announced = true
 		if h.bus != nil {
 			if p := procOf(c); p != nil {
+				key := tr.blocks[0].key
 				h.bus.Publish(obs.Event{
 					Time: p.OS.Clock, Layer: obs.LayerHarrier, Kind: obs.KindBBClean,
 					PID: int32(p.PID), Num: uint64(key.addr), Num2: uint64(nPg),
@@ -253,39 +290,50 @@ func (cs *cleanState) install(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[
 			}
 		}
 	}
+	return w
 }
 
-// cleanProbeTrace decides whether this trace entry runs on the clean
-// tier: a cached-way hit, or a fresh proof over the mop program.
-func (h *Harrier) cleanProbeTrace(c *isa.CPU, tr *blockTrace) bool {
-	cs := &tr.clean
-	sh := c.Shadow
-	var pages [cleanMaxPages]uint32
-	nPg, ok := cs.resolvePages(c, &pages)
-	if !ok {
-		return false
-	}
-	if cs.lookup(h, c, sh, &pages, nPg) {
-		return true
-	}
-	if cs.strikes >= cleanMaxStrikes {
-		return false
-	}
-	for k := 0; k < nPg; k++ {
-		if !sh.PageClean(pages[k]) {
-			cs.strikes++
+// stillClean re-validates a page-keyed verdict whose FlipGen stamp is
+// stale: a page went dirty somewhere, possibly outside the footprint.
+// All pages still clean refreshes the stamp.
+func (w *verdict) stillClean(sh *taint.Shadow) bool {
+	for k := 0; k < int(w.nPg); k++ {
+		if !sh.PageClean(w.keys[k]) {
 			return false
 		}
 	}
-	if !h.cleanMopsNoop(tr.mops, &c.RegTags) {
-		cs.strikes++
-		return false
-	}
-	cs.install(h, c, sh, &pages, nPg, tr.blocks[0].key)
+	w.stamp = sh.FlipGen()
 	return true
 }
 
-// cleanMopsNoop is the trace-side proof: every mop's taint transfer
+// recordVerify installs the value-keyed verdict a clean verify run
+// proved: with the entry values vals at generation gen, the transfer
+// wrote nothing through mop end. One verdict per key: re-verifying at
+// the same generation only ever extends the covered prefix (a budget
+// exit verifies a shorter prefix of the same stationary run), while a
+// new generation replaces the stale verdict outright. RegTags are
+// still the entry tags (no write changed them), so the post-state
+// doubles as the key.
+func (vc *verdictCache) recordVerify(c *isa.CPU, gen uint64, vals *[verdictKeys]uint32, end int) {
+	for e := 0; e < int(vc.n); e++ {
+		w := &vc.ways[e]
+		if !w.byVal || w.sh != c.Shadow || w.keys != *vals || w.tags != c.RegTags {
+			continue
+		}
+		if w.stamp != gen {
+			w.stamp, w.end = gen, int32(end)
+		} else if int32(end) > w.end {
+			w.end = int32(end)
+		}
+		return
+	}
+	*vc.slot() = verdict{
+		sh: c.Shadow, stamp: gen, end: int32(end), byVal: true,
+		keys: *vals, tags: c.RegTags,
+	}
+}
+
+// cleanMopsNoop is the page-keyed proof: every mop's taint transfer
 // (see runTraceTaint) checked for no-op-ness against the entry tags
 // under the clean-footprint assumption. Because the check is per
 // instruction in program order and value-independent, it holds for
@@ -365,22 +413,4 @@ func (h *Harrier) cleanMopsNoop(mops []mop, tags *[isa.NumRegs]taint.Tag) bool {
 		}
 	}
 	return true
-}
-
-// TaintSource implements vos.TaintSourceMonitor: the kernel is about
-// to deposit external data into guest memory. Advancing the source
-// epoch forces every cached clean verdict to re-validate its pages on
-// its next probe — defense in depth around the shadow's own page-flip
-// seam, which fires when the deposit is actually tagged.
-func (h *Harrier) TaintSource(p *vos.Process, sc *vos.SyscallCtx) {
-	h.cleanEpoch++
-}
-
-// onPageFlip is the taint.Shadow listener: a page just went
-// zero→nonzero, so any clean verdict whose footprint includes it is
-// stale. The epoch bump invalidates lazily — the next probe of every
-// entry re-checks its pages — which flushes affected entries strictly
-// before the next block boundary, since probes happen at block entry.
-func (h *Harrier) onPageFlip(idx uint32) {
-	h.cleanEpoch++
 }

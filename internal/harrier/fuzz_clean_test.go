@@ -8,18 +8,20 @@ import (
 	"repro/internal/taint"
 )
 
-// FuzzCleanReinstrument is the clean tier's re-instrumentation oracle:
-// the same pseudo-random multi-block programs as FuzzTraceApply run
-// once under the interpreter tier and once with traces installed at
-// every leader and the clean tier armed, so traces demote to the
-// uninstrumented clean variant as soon as their footprint proves
-// taint-free. Midway through — at a block boundary, the only
-// architectural point where tiers are comparable — an external taint
-// source floods pages inside the program's working window. The clean
-// run's cached verdicts now cover stale pages; the page-flip seam
-// (wired by hand here, as vos.Started would) must invalidate them
-// before the next entry runs uninstrumented. Any verdict that survives
-// the flip shows up as a shadow or register-tag divergence.
+// FuzzCleanReinstrument is the verdict cache's re-instrumentation
+// oracle: the same pseudo-random multi-block programs as
+// FuzzTraceApply run once under the interpreter tier and once with
+// traces installed at every leader, so trace entries go bare as soon
+// as a no-op verdict proves them. Midway through — at a block
+// boundary, the only architectural point where tiers are comparable —
+// an external taint source writes into the program's working window:
+// 16 bytes on one page plus, unless injectAt's top bit is set, 4 on
+// the next. Cached verdicts may now be stale; the shadow's write
+// counters (FlipGen for page-keyed verdicts, Gen for value-keyed ones)
+// must invalidate them before the next entry runs uninstrumented. The
+// single-page form can land entirely on an already-tainted page, the
+// write that moves Gen but not FlipGen. Any verdict that survives the
+// write shows up as a shadow or register-tag divergence.
 func FuzzCleanReinstrument(f *testing.F) {
 	// The countdown loop: the block that demotes, re-validates after
 	// the flip, and must come back instrumented.
@@ -35,9 +37,7 @@ func FuzzCleanReinstrument(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, injectAt uint16) {
 		span := buildTraceFuzzSpan(data)
-		// The clean tier arms only on a tiering configuration; the
-		// traces then carry clean-tier footprints.
-		h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+		h := New(Config{Dataflow: true}, nil)
 		if installTraces(h, span) == 0 {
 			return // nothing compiled: the clean tier can't engage
 		}
@@ -60,7 +60,9 @@ func FuzzCleanReinstrument(f *testing.F) {
 				return f, false
 			}
 			c.Shadow.SetRange(base, 16, tag)
-			c.Shadow.SetRange(base+0x1000, 4, tag)
+			if injectAt&0x8000 == 0 {
+				c.Shadow.SetRange(base+0x1000, 4, tag)
+			}
 			_, f = runToBoundary(c, span, bound)
 			return f, true
 		}
@@ -74,7 +76,6 @@ func FuzzCleanReinstrument(f *testing.F) {
 		cB.Hooks.OnInstr = h.trackDataFlow
 		cB.Hooks.OnInstrData = true
 		cB.Hooks.OnBBSummary = h.onBBSummary
-		cB.Shadow.OnPageFlip(h.onPageFlip) // the seam vos.Started installs
 		faultB, injB := run(cB)
 
 		if injA != injB {

@@ -11,16 +11,17 @@ import (
 
 // FuzzTraceApply is the trace tier's differential oracle: a
 // pseudo-random program with conditional and unconditional branches
-// runs once under the interpreter tier and once with superblock traces
-// compiled at every leader, from the same concrete and taint state
-// against one shared tag store. Both runs are driven under the same
+// runs once under the interpreter tier and twice with superblock traces
+// compiled at every leader — with the no-op verdict cache off (every
+// entry runs the full transfer) and on — from the same concrete and
+// taint state against one shared tag store. Both runs are driven under the same
 // step budget the scheduler would impose, so a trace's budget exits,
 // side exits and fault exits all land on the comparison path.
 // Registers, EIP, flags, retired steps and the fault verdict must
 // always match; register tags and the shadow window must match
 // whenever the program did not die mid-flight. Compilation itself
 // must be deterministic: compiling a leader twice yields the same
-// mops and the same clean-tier footprint.
+// mops, the same footprint and the same value key.
 func FuzzTraceApply(f *testing.F) {
 	// A countdown loop: mov ecx,8; dec ecx; jnz back — the classic
 	// backward-predicted superblock with one final mispredict.
@@ -39,48 +40,54 @@ func FuzzTraceApply(f *testing.F) {
 	})
 }
 
-// diffTiers runs span once under the interpreter tier and once with a
-// trace installed at every leader that compiles, from the same
-// concrete and taint state derived from data, and fails t on any
-// observable divergence (see FuzzTraceApply). It also checks that
-// compiling span's leaders is deterministic.
+// diffTiers runs span once under the interpreter tier and, for each
+// setting of the verdict cache, once with a trace installed at every
+// leader that compiles, from the same concrete and taint state derived
+// from data, and fails t on any observable divergence (see
+// FuzzTraceApply). It also checks that compiling span's leaders is
+// deterministic.
 func diffTiers(t *testing.T, span *isa.Span, data []byte) {
 	t.Helper()
-	h := New(Config{Dataflow: true}, nil)
-
 	checkCompileDeterministic(t, span)
-	if installTraces(h, span) == 0 {
-		return // nothing traceable: the comparison would be vacuous
-	}
+	for _, verdicts := range []bool{false, true} {
+		h := New(Config{Dataflow: true}, nil)
+		if !verdicts {
+			h.withoutVerdicts()
+		}
+		span.DropSummaries()
+		if installTraces(h, span) == 0 {
+			return // nothing traceable: the comparison would be vacuous
+		}
 
-	const bound = 4096
-	cA := newFuzzCPU(span, h.Store, data)
-	cA.Hooks.OnInstr = h.trackDataFlow
-	cA.Hooks.OnInstrData = true
-	faultA := runBudgeted(cA, span, bound)
+		const bound = 4096
+		cA := newFuzzCPU(span, h.Store, data)
+		cA.Hooks.OnInstr = h.trackDataFlow
+		cA.Hooks.OnInstrData = true
+		faultA := runBudgeted(cA, span, bound)
 
-	cB := newFuzzCPU(span, h.Store, data)
-	cB.Hooks.OnInstr = h.trackDataFlow
-	cB.Hooks.OnInstrData = true
-	cB.Hooks.OnBBSummary = h.onBBSummary
-	faultB := runBudgeted(cB, span, bound)
+		cB := newFuzzCPU(span, h.Store, data)
+		cB.Hooks.OnInstr = h.trackDataFlow
+		cB.Hooks.OnInstrData = true
+		cB.Hooks.OnBBSummary = h.onBBSummary
+		faultB := runBudgeted(cB, span, bound)
 
-	if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
-		cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
-		t.Fatalf("concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
-			"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v",
-			cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
-			cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
-	}
-	if faultA {
-		return // over-applied flows are unobservable after a fault
-	}
-	if cA.RegTags != cB.RegTags {
-		t.Fatalf("register tag divergence: interp %v, trace %v", cA.RegTags, cB.RegTags)
-	}
-	for addr := uint32(0); addr < 0x3000; addr++ {
-		if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
-			t.Fatalf("shadow divergence at %#x: interp tag%d, trace tag%d", addr, ta, tb)
+		if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
+			cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
+			t.Fatalf("verdicts %v: concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
+				"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v", verdicts,
+				cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
+				cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
+		}
+		if faultA {
+			continue // over-applied flows are unobservable after a fault
+		}
+		if cA.RegTags != cB.RegTags {
+			t.Fatalf("verdicts %v: register tag divergence: interp %v, trace %v", verdicts, cA.RegTags, cB.RegTags)
+		}
+		for addr := uint32(0); addr < 0x3000; addr++ {
+			if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
+				t.Fatalf("verdicts %v: shadow divergence at %#x: interp tag%d, trace tag%d", verdicts, addr, ta, tb)
+			}
 		}
 	}
 }
@@ -102,16 +109,15 @@ func installTraces(h *Harrier, span *isa.Span) int {
 	return installed
 }
 
-// checkCompileDeterministic compiles every leader of span twice on a
-// Harrier with the clean tier armed (so footprints are derived too)
-// and requires identical results: the same mops, exit metadata, gate
-// key registers and footprint. The guarantee is what makes
+// checkCompileDeterministic compiles every leader of span twice and
+// requires identical results: the same mops, exit metadata, footprint
+// and value-key registers. The guarantee is what makes
 // re-promotion after an execve demotion (and re-pinning of shared
 // spans) sound. It returns how many leaders compiled and how many
 // would pin.
 func checkCompileDeterministic(t testing.TB, span *isa.Span) (compiled, pinned int) {
 	t.Helper()
-	h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+	h := New(Config{Dataflow: true}, nil)
 	for i := range span.Instrs {
 		if span.BBLeader[i] != i {
 			continue

@@ -64,22 +64,14 @@ type Config struct {
 	// basic block whose frequency counter reaches it is compiled into a
 	// superblock trace — hot blocks chained across predicted edges and
 	// executed (taint transfer fused with concrete semantics) in a
-	// single hook call, with a clean-taint gate that skips the transfer
-	// entirely while the trace's taint effect is provably stationary
-	// (see trace.go / tier.go). 0 disables tiering — every block stays
-	// in the interpreter tier. Tiering requires both Dataflow and
-	// BBFrequency; detections and reported tag sets are bit-identical
-	// across tiers.
+	// single hook call (see trace.go / tier.go). Each trace carries a
+	// no-op verdict cache (cleantier.go): an entry whose transfer is
+	// proven to write nothing runs uninstrumented, and the proof is
+	// re-checked against the shadow's write counters on every entry.
+	// 0 disables tiering — every block stays in the interpreter tier.
+	// Tiering requires both Dataflow and BBFrequency; detections and
+	// reported tag sets are bit-identical across tiers.
 	PromoteThreshold int
-	// CleanThreshold arms the clean tier — taint-scoped partial
-	// instrumentation (see cleantier.go): every trace entry probes it,
-	// running the trace UNINSTRUMENTED (no shadow lookups, no
-	// transfer) whenever its footprint pages and entry register tags
-	// are provably clean, and re-instrumenting the moment taint reaches
-	// its footprint (the shadow page-flip seam / vos taint-source
-	// seam). 0 disables the tier; any positive value arms it. Requires
-	// tiering (PromoteThreshold > 0).
-	CleanThreshold int
 }
 
 // DefaultConfig enables all modules.
@@ -90,7 +82,6 @@ func DefaultConfig() Config {
 		CloneRateWindow:  20_000,
 		KeepEventLog:     true,
 		PromoteThreshold: 64,
-		CleanThreshold:   64,
 	}
 }
 
@@ -129,18 +120,19 @@ type Stats struct {
 	// counts exactly as the interpreter tier would count it.
 	TraceCompiled    uint64 // hot blocks promoted into superblock traces
 	TierPinned       uint64 // hot blocks found untraceable, pinned to interpreter
-	TraceHits        uint64 // block entries served inside a trace
+	TraceHits        uint64 // block entries served inside a trace with full transfer
 	TraceSideExits   uint64 // trace runs ended by a mispredicted branch
-	GateSkips        uint64 // trace runs served by the clean-taint gate
+	GateSkips        uint64 // bare trace runs served by a value-keyed verdict
 	TierTraceDemoted uint64 // traces dropped by execve invalidation
 
-	// Clean tier counters (see cleantier.go). CleanHits is included in
-	// Blocks — a clean entry counts the block exactly as every other
-	// tier does — and is disjoint from TraceHits: each block entry is
-	// credited to exactly one tier.
-	CleanDemoted   uint64 // clean verdicts proved and cached
+	// Clean tier counters: block entries served by the bare variant of
+	// a trace under a no-op verdict (see cleantier.go). CleanHits is
+	// included in Blocks — a clean entry counts the block exactly as
+	// every other tier does — and is disjoint from TraceHits: each block
+	// entry is credited to exactly one tier.
+	CleanDemoted   uint64 // page-keyed verdicts proved and cached
 	CleanHits      uint64 // block entries served uninstrumented
-	Reinstrumented uint64 // clean verdicts flushed by taint reaching their footprint
+	Reinstrumented uint64 // page-keyed verdicts dropped by taint reaching their footprint
 
 	TaintSets       int    // distinct source sets interned
 	TaintUnions     uint64 // union operations performed
@@ -187,14 +179,10 @@ type Harrier struct {
 	// type, non-zero only when the config combination supports tiering
 	// (Dataflow + BBFrequency). One int64 compare per block entry.
 	tierThreshold int64
-	// cleanOn records whether the clean tier is armed (a positive
-	// Config.CleanThreshold on a tiering configuration). cleanEpoch is
-	// the monitor-side invalidation clock of the clean tier: advanced
-	// by the vos taint-source seam and the shadow page-flip listener;
-	// cached clean verdicts snapshot it and re-validate their pages
-	// when it moves (see cleantier.go).
-	cleanOn    bool
-	cleanEpoch uint64
+	// noVerdicts compiles traces without a verdict cache, so every
+	// trace entry runs the full transfer; set only by tests
+	// (export_test.go), which compare against it.
+	noVerdicts bool
 
 	cloneCount int64
 	cloneTimes []uint64
@@ -237,7 +225,6 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 	}
 	if cfg.Dataflow && cfg.BBFrequency && cfg.PromoteThreshold > 0 {
 		h.tierThreshold = int64(cfg.PromoteThreshold)
-		h.cleanOn = cfg.CleanThreshold > 0
 	}
 	return h
 }
@@ -323,9 +310,6 @@ func (h *Harrier) Started(p *vos.Process) {
 		hooks.OnBBSummary = h.onBBSummary
 	}
 	p.CPU.Hooks = hooks
-	if h.cleanOn && p.CPU.Shadow != nil {
-		p.CPU.Shadow.OnPageFlip(h.onPageFlip)
-	}
 }
 
 // Forked: the child inherits the parent's hooks via CPU.Clone; only
@@ -336,11 +320,6 @@ func (h *Harrier) Started(p *vos.Process) {
 func (h *Harrier) Forked(parent, child *vos.Process) {
 	if bb, ok := h.lastAppOf(parent.PID); ok {
 		h.lastApp[child.PID] = bb
-	}
-	// The child's shadow is a fresh Clone: listeners don't ride along,
-	// so the clean tier's flip seam must be re-installed per shadow.
-	if h.cleanOn && child.CPU.Shadow != nil {
-		child.CPU.Shadow.OnPageFlip(h.onPageFlip)
 	}
 }
 

@@ -634,16 +634,17 @@ f: .asciz "/tmp/x"
 
 // TestTierTimerCleanEntriesRecordNoTraceTime pins tier-time
 // attribution to the tier that actually served each compiled entry: a
-// hot loop whose every trace entry runs on the clean tier must credit
-// execution time to the clean tier and none to the trace tier — and
-// with the clean tier off, the same loop's time goes to the trace
-// tier.
+// hot loop whose every trace entry runs bare under a no-op verdict
+// must credit execution time to the clean tier and none to the trace
+// tier — and with the verdict cache off, the same loop's time goes to
+// the trace tier.
 func TestTierTimerCleanEntriesRecordNoTraceTime(t *testing.T) {
-	run := func(cleanThreshold int) (Stats, [3]int64) {
+	run := func(verdicts bool) (Stats, [3]int64) {
 		w := newWorld(t)
-		cfg := DefaultConfig()
-		cfg.CleanThreshold = cleanThreshold
-		w.h = New(cfg, w.sec)
+		w.h = New(DefaultConfig(), w.sec)
+		if !verdicts {
+			w.h.withoutVerdicts()
+		}
 		tt := obs.NewTierTimer()
 		w.h.SetTierTimer(tt)
 		w.install(t, "/bin/spin", `
@@ -658,19 +659,19 @@ spin:
 		w.run(t, vos.ProcSpec{Path: "/bin/spin"})
 		return w.h.Stats(), tt.Flush()
 	}
-	st, ns := run(DefaultConfig().CleanThreshold)
+	st, ns := run(true)
 	if st.TraceCompiled == 0 || st.CleanHits == 0 || st.TraceHits != 0 {
 		t.Fatalf("want every compiled entry clean: %+v", st)
 	}
 	if ns[obs.TierTrace] != 0 || ns[obs.TierClean] <= 0 {
 		t.Errorf("tier time %v: want clean time and no trace time", ns)
 	}
-	st, ns = run(0)
+	st, ns = run(false)
 	if st.TraceHits == 0 || st.CleanHits != 0 {
 		t.Fatalf("want every compiled entry on the trace tier: %+v", st)
 	}
 	if ns[obs.TierTrace] <= 0 || ns[obs.TierClean] != 0 {
-		t.Errorf("clean tier off: tier time %v, want trace time and no clean time", ns)
+		t.Errorf("verdict cache off: tier time %v, want trace time and no clean time", ns)
 	}
 }
 

@@ -4,13 +4,13 @@ import "repro/internal/isa"
 
 // This file is the symbolic address domain of the trace compiler: it
 // summarizes the memory a traced path touches as entry-relative
-// addresses. Two compile-time decisions rest on that summary — the
-// clean tier's footprint (cleantier.go) and the clean-taint gate's
-// key registers (trace.go).
+// addresses. Both key forms of the no-op verdict cache (cleantier.go)
+// rest on that summary: the page-keyed footprint and the value-keyed
+// base registers.
 //
 // Mops resolve their addresses against *live* register values, so
-// the trace itself needs no symbolic treatment. The footprint and the
-// gate, however, reason about the whole path before it runs, from the
+// the trace itself needs no symbolic treatment. The verdicts, however,
+// reason about the whole path before it runs, from the
 // register file as it stands at trace entry. The compiler therefore
 // carries a tiny symbolic value domain per register — unknown, a
 // constant, or "entry value of register r plus offset" — mirroring
@@ -18,7 +18,7 @@ import "repro/internal/isa"
 // stays expressible as entry-reg + displacement is recorded in that
 // form; a path touching memory through a value the domain cannot
 // express (e.g. a pointer loaded from memory) has no summary, and its
-// trace is never gated nor demoted to the clean tier.
+// trace never runs bare.
 
 // sumNoBase in a base slot marks an absolute address (disp only).
 const sumNoBase = 0xFF

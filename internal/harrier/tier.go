@@ -14,7 +14,7 @@ import (
 //   - traceable   -> a superblock trace (trace.go) rooted at the block
 //     lands in the span's summary slot, and subsequent entries take
 //     the Hooks.OnBBSummary fast path, which executes the trace (or,
-//     once its footprint proves taint-free, its clean variant; see
+//     under a no-op verdict, its uninstrumented variant; see
 //     cleantier.go);
 //   - untraceable -> a tierPinned marker lands in the slot, recording
 //     that compilation was attempted and must not be retried: the

@@ -22,29 +22,10 @@ import (
 // exits, leaving EIP at the untraced target so the interpreter (or
 // another trace) picks up at a genuine block entry. Every run of a
 // trace therefore executes a *prefix* of the recorded path, which is
-// what makes the exit protocol and the clean-taint gate below sound.
-//
-// The clean-taint gate is the dynamic form of the partial-
-// instrumentation observation (PAPERS.md, Thakur 2024): the vast
-// majority of hot code moves already-tagged data over identically-
-// tagged destinations, so its taint transfer is a no-op. The gate
-// detects that stationarity per trace. A *verify* run executes the
-// full transfer while checking that no register tag and no shadow tag
-// actually changed (shadow changes are observable as a Shadow.Gen
-// movement, register changes via compare-before-write). A clean verify
-// run installs a gate entry keyed by everything the trace's taint
-// effect can depend on: the shadow (identity and generation), the
-// entry tags of all eight registers, and the concrete entry values of
-// the registers that form taint-relevant addresses (found by running
-// the symbolic address domain of summary.go over the whole path — a
-// trace whose taint addresses are not expressible as entry-register +
-// displacement is never gated). A later entry matching the key runs
-// the *bare* variant — concrete execution only, no taint transfer at
-// all — up to the mop index the verify run covered. Prefix soundness:
-// each verified mop's transfer depends only on the keyed state, so
-// skipping it is exact, not approximate; detections stay bit-identical
-// (TestTraceDifferentialSweep) while the gated loop pays zero shadow
-// and union traffic.
+// what makes the exit protocol and the no-op verdicts of cleantier.go
+// sound: a trace entry whose transfer is proven to write nothing runs
+// the bare variant of the mop loop, concrete semantics only, and
+// detections stay bit-identical (TestTraceDifferentialSweep).
 const (
 	// traceMaxInstrs caps the guest instructions one trace may retire,
 	// below the scheduler's 128-instruction slice so a full run fits a
@@ -53,13 +34,6 @@ const (
 	traceMaxBlocks = 32
 	// traceNoBase in a mop base slot marks an absolute address.
 	traceNoBase = 0xFF
-	// Clean-taint gate geometry: cached verdicts per trace, and the
-	// most address-forming entry registers a gated trace may have.
-	// Ways are sized for loops whose entry register values cycle
-	// through more phases than a handful (scheduler slices cutting a
-	// loop trace at varying offsets produce exactly that pattern).
-	traceGateWays = 16
-	traceGateRegs = 4
 )
 
 // mopCode selects a fused micro-op. The set covers every instruction
@@ -159,17 +133,6 @@ type traceBlock struct {
 	instrs      int
 }
 
-// gateEnt is one cached clean-taint verdict: with this shadow at this
-// generation, these entry register tags and these address-register
-// values, the trace's taint transfer is a no-op through mop index end.
-type gateEnt struct {
-	sh   *taint.Shadow
-	gen  uint64
-	end  int
-	vals [traceGateRegs]uint32
-	tags [isa.NumRegs]taint.Tag
-}
-
 // blockTrace is a compiled superblock trace, installed in the entry
 // leader's summary slot. blocks[0] is the head block the trace is
 // rooted at; owner is the Harrier that compiled it.
@@ -179,25 +142,16 @@ type blockTrace struct {
 	info   []mopInfo
 	blocks []traceBlock
 
-	// clean is the clean-tier demotion state (see cleantier.go). Only
-	// initialized when the symbolic gate held for the whole path
-	// (gateOK), because the footprint is derived from the same
-	// entry-relative symbolic address stream.
-	clean cleanState
-
 	nInstr    uint16 // instructions retired by a full run
 	nData     uint16 // data-moving instructions instrumented by a full run
 	endEIP    uint32 // exit point of a full run
 	endJumped bool
 
-	// Clean-taint gate state. gateOK is decided at compile time; the
-	// entries are filled by verify runs and replaced round-robin.
-	gateOK bool
-	nIn    int
-	inRegs [traceGateRegs]uint8
-	gate   [traceGateWays]gateEnt
-	gateN  int
-	gateRR int
+	// vc is the no-op verdict cache (see cleantier.go). Only armed when
+	// the symbolic address domain held for the whole path, because the
+	// footprint and the value key derive from its entry-relative
+	// address stream.
+	vc verdictCache
 }
 
 // ea resolves the A-side (destination) memory address of a mop.
@@ -221,7 +175,7 @@ func (op *mop) ea2(c *isa.CPU) uint32 {
 // traceCompiler walks the hot path from a head leader, chaining block
 // after block into the mop program. It carries the symbolic address
 // domain of summary.go (sc) in parallel — not for emission, but to
-// decide clean-taint gate eligibility: the gate is sound only when
+// decide verdict-cache eligibility: a no-op verdict is sound only when
 // every taint-touching address of the whole path is expressible as
 // entry-register + displacement.
 type traceCompiler struct {
@@ -235,7 +189,7 @@ type traceCompiler struct {
 	nData  int
 
 	sc     sumCompiler
-	gateOK bool
+	symOK  bool // every address so far is entry-relative
 	headOK bool
 
 	endEIP    uint32
@@ -264,12 +218,12 @@ func (h *Harrier) traceCtr(key bbKey) *int64 {
 // caller pins the block to the interpreter — when the head block
 // yields no traceable prefix, or touches memory through an address
 // the symbolic domain of summary.go cannot express (a pointer loaded
-// from memory, say), which neither the gate nor the clean tier could
-// ever skip. isApp records whether the span belongs to the
-// application image. Compilation is deterministic: the same span,
-// leader and store state yield the same trace.
+// from memory, say), which no verdict could ever skip. isApp records
+// whether the span belongs to the application image. Compilation is
+// deterministic: the same span, leader and store state yield the same
+// trace.
 func (h *Harrier) compileTrace(s *isa.Span, leader int, isApp bool) *blockTrace {
-	tc := &traceCompiler{h: h, s: s, bin: h.binTag(s.Image), gateOK: true, headOK: true, sc: newSumCompiler()}
+	tc := &traceCompiler{h: h, s: s, bin: h.binTag(s.Image), symOK: true, headOK: true, sc: newSumCompiler()}
 
 	cur := leader
 	arrived := true // the head is always entered through the dispatch hook
@@ -364,16 +318,9 @@ walk:
 		owner: h, mops: tc.mops, info: tc.info, blocks: tc.blocks,
 		nInstr: uint16(tc.steps), nData: uint16(tc.nData),
 		endEIP: tc.endEIP, endJumped: tc.endJumped,
-		gateOK: tc.gateOK,
 	}
-	if tr.gateOK {
-		// Footprint first: collectGateRegs may clear gateOK when the
-		// input set overflows, but the footprint derivation only needs
-		// the symbolic address stream, which held for the whole path.
-		if h.cleanOn {
-			tr.clean.initFootprint(tc.sc.acc)
-		}
-		tr.collectGateRegs(tc.sc.acc)
+	if tc.symOK && !h.noVerdicts {
+		tr.vc.init(tc.sc.acc)
 	}
 	return tr
 }
@@ -400,13 +347,13 @@ func (tc *traceCompiler) emit(m mop, addr uint32) {
 }
 
 // scStep advances the symbolic address domain across one consumed
-// instruction; the first inexpressible address disables the gate for
-// the whole trace (the trace itself stays valid — it simply always
-// runs with full taint transfer) — unless it lies in the head block,
-// which rejects the trace outright (see compileTrace).
+// instruction; the first inexpressible address disables the verdict
+// cache for the whole trace (the trace itself stays valid — it simply
+// always runs with full taint transfer) — unless it lies in the head
+// block, which rejects the trace outright (see compileTrace).
 func (tc *traceCompiler) scStep(in *isa.Instr) {
-	if tc.gateOK && !tc.sc.instr(in) {
-		tc.gateOK = false
+	if tc.symOK && !tc.sc.instr(in) {
+		tc.symOK = false
 		tc.headOK = len(tc.blocks) > 1
 	}
 }
@@ -569,150 +516,123 @@ func (tc *traceCompiler) instr(i int, in *isa.Instr) bool {
 	return true
 }
 
-// collectGateRegs extracts, from the path's symbolic access summary,
-// the set of entry registers that form taint-relevant addresses — the
-// registers whose concrete values a gate entry must key on. More than
-// traceGateRegs distinct bases disables the gate.
-func (tr *blockTrace) collectGateRegs(acc []sumAccess) {
-	var mask uint32
-	for _, a := range acc {
-		if a.base != sumNoBase {
-			mask |= 1 << a.base
-		}
-	}
-	for r := uint8(0); r < uint8(isa.NumRegs); r++ {
-		if mask&(1<<r) == 0 {
-			continue
-		}
-		if tr.nIn == traceGateRegs {
-			tr.gateOK = false
-			tr.nIn = 0
-			return
-		}
-		tr.inRegs[tr.nIn] = r
-		tr.nIn++
-	}
-}
-
 // --- trace execution ----------------------------------------------
 
 // traceExit describes where a trace run stopped: the architectural
-// exit point, the retired/instrumented instruction counts, the first
-// mop index this run did NOT cover (the gate entry's end), and the
-// guest fault if the run died on one.
+// exit point, the retired/instrumented instruction counts, the block
+// entries it made and how many of them ran bare, the first mop index
+// this run did NOT cover (a value-keyed verdict's end), and the guest
+// fault if the run died on one.
 type traceExit struct {
 	eip    uint32
 	jumped bool
-	// 32-bit counts: a single run fits uint16, but the clean tier
-	// fuses consecutive runs of a self-looping trace into one exit,
-	// whose totals are bounded only by the scheduler quantum.
+	// 32-bit counts: a single run fits uint16, but loop fusion chains
+	// consecutive runs of a self-looping trace into one exit, whose
+	// totals are bounded only by the scheduler quantum.
 	steps   uint32
 	nData   uint32
 	nBlocks uint32
+	bare    uint32
 	end     int
 	dirty   bool
 	lastB   *traceBlock
 	fault   *isa.Fault
 }
 
-// runTrace executes a compiled trace: gate probe, then the bare or
+// runTrace executes a compiled trace: verdict probe, then the bare or
 // full-taint mop loop, then the exit protocol. budget is the
 // scheduler's remaining quantum (<= 0: unlimited); the caller has
 // already checked that the first block fits.
 func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
-	sh := c.Shadow
-	verify := false
-	var entGen uint64
-	var entVals [traceGateRegs]uint32
-	if tr.clean.ok && h.cleanProbeTrace(c, tr) {
-		// Clean tier: the whole transfer is a proven no-op under the
-		// current footprint/tag state, so run the trace with zero
-		// instrumentation. end = len(mops) means the bare loop never
-		// hands over to the taint loop (cont is always -1).
+	vc := &tr.vc
+	var vals [verdictKeys]uint32
+	var w *verdict
+	if vc.ok {
+		w = h.probe(c, tr, &vals)
+	}
+	if w == nil {
+		// Full transfer. With a value key available this is a verify
+		// run: nothing moved means the covered prefix is a no-op for
+		// this key.
 		if h.tt != nil {
-			h.tt.Touch(obs.TierClean)
+			h.tt.Touch(obs.TierTrace)
 		}
-		ex, _ := h.runTraceBare(c, tr, budget, len(tr.mops), 0)
-		// Clean-loop fusion: when the run lands back on this trace's
-		// own head (a self-looping hot loop), re-enter directly instead
-		// of surfacing to the fetch loop — per-entry dispatch is most
-		// of what the clean tier still pays. Nothing a cached verdict
-		// depends on can move during a bare run (no tag writes and no
-		// syscalls, hence no page flips and no source-epoch advance);
-		// only the footprint *pages* may differ now that the registers
-		// moved, which is exactly what re-probing checks. Fusing only
-		// under a positive budget keeps Step's contract with unbounded
-		// callers: one trace entry per call. Every run retires at least
-		// one instruction, so the budget strictly decreases. Each fused
-		// run starts its clock (RDTSC values, event times) where the
-		// previous one stopped.
-		for budget > 0 && ex.fault == nil && ex.eip == tr.blocks[0].key.addr {
-			rem := budget - int(ex.steps)
-			if rem < tr.blocks[0].instrs || !h.cleanProbeTrace(c, tr) {
-				break
-			}
-			nx, _ := h.runTraceBare(c, tr, rem, len(tr.mops), ex.steps)
-			nx.steps += ex.steps
-			nx.nData += ex.nData
-			nx.nBlocks += ex.nBlocks
-			if nx.lastB == nil {
-				nx.lastB = ex.lastB
-			}
-			ex = nx
+		gen := c.Shadow.Gen()
+		ex := h.runTraceTaint(c, tr, budget, 0)
+		if vc.byVal && ex.fault == nil && !ex.dirty && c.Shadow.Gen() == gen {
+			vc.recordVerify(c, gen, &vals, ex.end)
 		}
-		return h.finishTrace(c, tr, ex, false, 0, entVals, true)
+		return h.finishTrace(c, ex)
 	}
 	if h.tt != nil {
-		h.tt.Touch(obs.TierTrace)
+		h.tt.Touch(obs.TierClean)
 	}
-	if tr.gateOK {
-		for k := 0; k < tr.nIn; k++ {
-			entVals[k] = c.Regs[tr.inRegs[k]]
+	if w.byVal {
+		h.stats.GateSkips++
+	}
+	ex, cont := h.runTraceBare(c, tr, budget, int(w.end), 0)
+	// Loop fusion: when a run that covered the whole program lands back
+	// on this trace's own head (a self-looping hot loop), re-enter
+	// directly instead of surfacing to the fetch loop — per-entry
+	// dispatch is most of what a bare run still pays. Nothing a verdict
+	// depends on can move during a bare run (no tag writes, hence no
+	// Gen or FlipGen movement, and no syscalls); only the registers
+	// moved, which is exactly what re-probing checks. A verdict that
+	// covers only a prefix ends the chain and serves the next dispatch.
+	// Fusing only under a positive budget keeps Step's contract with
+	// unbounded callers: one trace entry per call. Every run retires at
+	// least one instruction, so the budget strictly decreases. Each
+	// fused run starts its clock (RDTSC values, event times) where the
+	// previous one stopped.
+	head := &tr.blocks[0]
+	for cont < 0 && budget > 0 && ex.fault == nil && ex.eip == head.key.addr {
+		rem := budget - int(ex.steps)
+		if rem < head.instrs {
+			break
 		}
-		entGen = sh.Gen()
-		hit := -1
-		for e := 0; e < tr.gateN; e++ {
-			g := &tr.gate[e]
-			if g.sh == sh && g.gen == entGen && g.vals == entVals && g.tags == c.RegTags {
-				hit = e
-				break
-			}
+		if w = h.probe(c, tr, &vals); w == nil || int(w.end) < len(tr.mops) {
+			break
 		}
-		if hit >= 0 {
+		if w.byVal {
 			h.stats.GateSkips++
-			ex, cont := h.runTraceBare(c, tr, budget, tr.gate[hit].end, 0)
-			if cont >= 0 {
-				// Bare mode ran past the verified prefix; finish the
-				// remainder with full taint transfer, keeping the bare
-				// phase's block-entry accounting.
-				bare, bareLast := ex.nBlocks, ex.lastB
-				ex = h.runTraceTaint(c, tr, budget, cont, false)
-				ex.nBlocks += bare
-				if ex.lastB == nil {
-					ex.lastB = bareLast
-				}
-			}
-			return h.finishTrace(c, tr, ex, false, 0, entVals, false)
 		}
-		verify = true
+		nx, _ := h.runTraceBare(c, tr, rem, len(tr.mops), ex.steps)
+		nx.steps += ex.steps
+		nx.nData += ex.nData
+		nx.nBlocks += ex.nBlocks
+		nx.bare += ex.bare
+		if nx.lastB == nil {
+			nx.lastB = ex.lastB
+		}
+		ex = nx
 	}
-	ex := h.runTraceTaint(c, tr, budget, 0, verify)
-	return h.finishTrace(c, tr, ex, verify, entGen, entVals, false)
+	if cont >= 0 {
+		// The verdict covers a prefix only: finish the remainder with
+		// full taint transfer, keeping the bare phase's block accounting.
+		if h.tt != nil {
+			h.tt.Touch(obs.TierTrace)
+		}
+		bare, bareLast := ex.nBlocks, ex.lastB
+		ex = h.runTraceTaint(c, tr, budget, cont)
+		ex.nBlocks += bare
+		ex.bare = bare
+		if ex.lastB == nil {
+			ex.lastB = bareLast
+		}
+	}
+	return h.finishTrace(c, ex)
 }
 
 // finishTrace applies the exit protocol: architectural exit point,
-// retired-step accounting, the batched instrumented-instruction
-// counter with its sampling boundary, and — for a clean verify run —
-// installation of a gate entry.
-func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, verify bool, entGen uint64, entVals [traceGateRegs]uint32, clean bool) error {
+// retired-step accounting, per-tier block credit (bare entries are
+// clean-tier entries), and the batched instrumented-instruction
+// counter with its sampling boundary.
+func (h *Harrier) finishTrace(c *isa.CPU, ex traceExit) error {
 	c.ExitTrace(ex.eip, ex.jumped)
 	c.Steps += uint64(ex.steps)
 	h.stats.Blocks += uint64(ex.nBlocks)
-	if clean {
-		h.stats.CleanHits += uint64(ex.nBlocks)
-	} else {
-		h.stats.TraceHits += uint64(ex.nBlocks)
-	}
+	h.stats.CleanHits += uint64(ex.bare)
+	h.stats.TraceHits += uint64(ex.nBlocks - ex.bare)
 	if b := ex.lastB; b != nil && b.isApp {
 		// Write-behind app attribution, batched to one update per run:
 		// no observation point exists inside a trace (a syscall ends it
@@ -730,41 +650,6 @@ func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, verify b
 	h.stats.Instructions = old + uint64(ex.nData)
 	if h.bus != nil && old>>taintSampleShift != h.stats.Instructions>>taintSampleShift {
 		h.publishTaintSample(c)
-	}
-	if verify && ex.fault == nil && !ex.dirty && c.Shadow.Gen() == entGen {
-		// Nothing moved: the whole covered prefix is taint-stationary
-		// for this key. RegTags are still the entry tags (no write
-		// changed them), so the post-state doubles as the key. One
-		// entry per key: re-verifying the same key at the same
-		// generation only ever extends the covered prefix (a budget
-		// exit verifies a shorter prefix of the same stationary run),
-		// while a new generation replaces the stale verdict outright.
-		var g *gateEnt
-		for e := 0; e < tr.gateN; e++ {
-			x := &tr.gate[e]
-			if x.sh == c.Shadow && x.vals == entVals && x.tags == c.RegTags {
-				g = x
-				break
-			}
-		}
-		switch {
-		case g == nil:
-			tr.gate[tr.gateRR] = gateEnt{
-				sh: c.Shadow, gen: entGen, end: ex.end,
-				vals: entVals, tags: c.RegTags,
-			}
-			tr.gateRR = (tr.gateRR + 1) % traceGateWays
-			if tr.gateN < traceGateWays {
-				tr.gateN++
-			}
-		case g.gen == entGen:
-			if ex.end > g.end {
-				g.end = ex.end
-			}
-		default:
-			g.gen = entGen
-			g.end = ex.end
-		}
 	}
 	if ex.fault != nil {
 		return ex.fault
@@ -869,10 +754,9 @@ func brTaken(aop uint8, zf, lt bool) bool {
 // instruction's taint transfer first (the interpreter runs OnInstr
 // before executing) and its concrete semantics second. Register-tag
 // writes are compare-guarded — the guard both skips redundant stores
-// and feeds the verify mode's dirty flag. start lets a bare run hand
+// and feeds a verify run's dirty flag. start lets a bare run hand
 // over mid-trace at a block boundary.
-func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, verify bool) (ex traceExit) {
-	_ = verify // dirty tracking is unconditional; the flag documents intent
+func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int) (ex traceExit) {
 	sh := c.Shadow
 	st := h.Store
 	mem := c.Mem
@@ -1197,24 +1081,24 @@ func cmpFlags(aop uint8, a, b uint32) (zf, lt bool) {
 	return r == 0, int32(r) < 0
 }
 
-// runTraceBare is the clean-taint fast path: the tag-free variant of
-// the mop loop, executing only concrete semantics. It is entered on a
-// gate hit and runs up to `end`, the first mop the matched verify run
-// did not cover; reaching it hands control to the full loop (cont >=
-// 0). All per-block side effects still fire — the gate elides taint
-// transfer, never observability. Skipping the transfer is exact
-// because every skipped mop was proven a taint no-op for this exact
-// key (see the file comment); that includes a mop that faults here,
-// so even the fault path needs no tag work. base is the number of
-// instructions this dispatch already retired in earlier fused runs
-// (see runTrace); it offsets the run's clock.
+// runTraceBare is the skip path: the tag-free variant of the mop loop,
+// executing only concrete semantics. It is entered on a verdict hit
+// and runs up to `end`, the first mop the verdict does not cover;
+// reaching it hands control to the full loop (cont >= 0). All
+// per-block side effects still fire — a verdict elides taint transfer,
+// never observability. Skipping the transfer is exact because every
+// skipped mop was proven a taint no-op for this exact entry state (see
+// cleantier.go); that includes a mop that faults here, so even the
+// fault path needs no tag work. base is the number of instructions
+// this dispatch already retired in earlier fused runs (see runTrace);
+// it offsets the run's clock.
 func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int, base uint32) (ex traceExit, cont int) {
 	mem := c.Mem
 	zf, lt := c.ZF, c.LT
 	observed := h.prov != nil || h.bus != nil
 	var nBlocks uint32
 	var lastB *traceBlock
-	defer func() { ex.nBlocks, ex.lastB = nBlocks, lastB }()
+	defer func() { ex.nBlocks, ex.bare, ex.lastB = nBlocks, nBlocks, lastB }()
 	mops, info := tr.mops, tr.info
 	for j := 0; j < len(mops); j++ {
 		op := &mops[j]

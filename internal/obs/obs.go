@@ -128,11 +128,11 @@ const (
 	// head leader address, Num2 = compiled mop count, Str = owning
 	// image.
 	KindBBTrace
-	// KindBBClean is a compiled trace demoting onto the
-	// uninstrumented clean tier: its dataflow transfer was proved a
-	// no-op against the current taint state, so entries run with
-	// concrete semantics only until taint reaches their footprint.
-	// Num = block/trace leader address, Num2 = footprint page count,
+	// KindBBClean is a compiled trace's first page-keyed no-op
+	// verdict: its dataflow transfer was proved a no-op over a clean
+	// footprint, so matching entries run with concrete semantics only
+	// until taint reaches that footprint. Published once per trace.
+	// Num = trace head leader address, Num2 = footprint page count,
 	// Str = owning image.
 	KindBBClean
 	// KindTaintSample is a periodic snapshot of the taint substrate,

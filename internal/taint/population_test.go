@@ -3,9 +3,10 @@ package taint
 import "testing"
 
 // TestShadowPopulation exercises the live tag population count and the
-// write generation behind the clean-taint gate: pop tracks exactly the
-// number of bytes carrying a non-Empty tag, and gen advances exactly
-// when a write changes a stored tag — redundant writes move neither.
+// write generation behind the trace tier's value-keyed no-op verdicts:
+// pop tracks exactly the number of bytes carrying a non-Empty tag, and
+// gen advances exactly when a write changes a stored tag — redundant
+// writes move neither.
 func TestShadowPopulation(t *testing.T) {
 	st, sh := newTestShadow()
 	if !sh.Taintless() || sh.TagBytes() != 0 {
@@ -73,10 +74,10 @@ func TestShadowPopulation(t *testing.T) {
 }
 
 // TestShadowSourceAfterCachedNil is the negative-TLB regression test
-// for the clean-taint gate's flip moment: a lookup that caches a
-// nil-page TLB entry must not mask a source tag written to that page
+// for the verdict cache's flip moment: a lookup that caches a nil-page
+// TLB entry must not mask a source tag written to that page
 // immediately afterwards — the exact sequence of a `read`/`recv`
-// source arriving while the gate still believes the world is clean.
+// source arriving while a verdict still believes the world is clean.
 func TestShadowSourceAfterCachedNil(t *testing.T) {
 	st, sh := newTestShadow()
 	tag := st.Of(Source{UserInput, "stdin"})
@@ -109,69 +110,69 @@ func TestShadowSourceAfterCachedNil(t *testing.T) {
 	}
 }
 
-// TestShadowPageFlipSeam pins down the clean tier's invalidation seam
-// on top of the cached-nil regression above: a verdict cached while a
-// page's population is zero is only sound until that page flips
-// zero→nonzero, so FlipGen must advance — and the OnPageFlip listener
-// must fire, synchronously and with the right page index — on exactly
-// those transitions and on nothing else.
+// TestShadowPageFlipSeam pins down the invalidation seam of the trace
+// tier's page-keyed no-op verdicts on top of the cached-nil regression
+// above: a verdict cached while a page's population is zero is only
+// sound until that page flips zero→nonzero, so FlipGen must advance by
+// exactly one, with the page no longer PageClean, on exactly those
+// transitions and on nothing else.
 func TestShadowPageFlipSeam(t *testing.T) {
 	st, sh := newTestShadow()
 	tag := st.Of(Source{Socket, "attacker:6666"})
 	tag2 := st.Of(Source{File, "f"})
 
-	var flips []uint32
-	sh.OnPageFlip(func(idx uint32) { flips = append(flips, idx) })
-
-	// The clean-tier sequence: probe the page (population zero, verdict
+	// The verdict sequence: probe the page (population zero, verdict
 	// cacheable), then a source lands on it.
 	if !sh.PageClean(0x3) || sh.GetWord(0x3000) != Empty {
 		t.Fatal("fresh page not clean")
 	}
 	g := sh.FlipGen()
 	sh.SetRange(0x3000, 8, tag)
-	if sh.FlipGen() == g {
-		t.Fatal("zero->nonzero population did not advance FlipGen")
-	}
-	if len(flips) != 1 || flips[0] != 0x3 {
-		t.Fatalf("flip listener saw %v, want [0x3]", flips)
+	if d := sh.FlipGen() - g; d != 1 {
+		t.Fatalf("zero->nonzero population moved FlipGen by %d, want 1", d)
 	}
 	if sh.PageClean(0x3) {
 		t.Fatal("tainted page still reports clean")
 	}
+	if !sh.PageClean(0x2) || !sh.PageClean(0x4) {
+		t.Fatal("neighbouring pages report dirty")
+	}
 
 	// Writes confined to an already-dirty page move Gen but are not
 	// flips: the cached verdict was already dead.
-	g = sh.FlipGen()
+	g, wg := sh.FlipGen(), sh.Gen()
 	sh.Set(0x3100, tag2)
-	if sh.FlipGen() != g || len(flips) != 1 {
-		t.Fatalf("dirty-page write flipped: gen %d->%d, flips %v", g, sh.FlipGen(), flips)
+	if sh.FlipGen() != g || sh.Gen() == wg {
+		t.Fatalf("dirty-page write: FlipGen %d->%d (want unchanged), Gen %d->%d (want moved)",
+			g, sh.FlipGen(), wg, sh.Gen())
 	}
 
-	// Draining the page back to zero is not a flip either (clean
-	// verdicts can only be invalidated by taint arriving, never by it
-	// leaving) — but the *next* zero->nonzero transition must fire
-	// again, or a verdict cached in the clean window would go stale.
+	// Draining the page back to zero is not a flip either (verdicts can
+	// only be invalidated by taint arriving, never by it leaving) — but
+	// the *next* zero->nonzero transition must count again, or a
+	// verdict cached in the clean window would go stale.
 	sh.ClearRange(0x3000, 0x1000)
-	if !sh.PageClean(0x3) || sh.FlipGen() != g || len(flips) != 1 {
-		t.Fatalf("drain misbehaved: clean=%v flips=%v", sh.PageClean(0x3), flips)
+	if !sh.PageClean(0x3) || sh.FlipGen() != g {
+		t.Fatalf("drain misbehaved: clean=%v FlipGen %d->%d", sh.PageClean(0x3), g, sh.FlipGen())
 	}
 	sh.Set(0x3000, tag)
-	if sh.FlipGen() == g || len(flips) != 2 || flips[1] != 0x3 {
-		t.Fatalf("re-flip not seen: gen %d->%d flips %v", g, sh.FlipGen(), flips)
+	if d := sh.FlipGen() - g; d != 1 || sh.PageClean(0x3) {
+		t.Fatalf("re-flip: FlipGen moved by %d (want 1), clean=%v", d, sh.PageClean(0x3))
 	}
 
-	// Reset (execve) bumps the flip generation wholesale, and a clone
-	// (fork) carries the generation but not the parent's listener.
+	// A clone (fork) carries the generation, and its flips are its own.
 	cl := sh.Clone()
 	if cl.FlipGen() != sh.FlipGen() {
 		t.Fatalf("clone flip gen %d, want %d", cl.FlipGen(), sh.FlipGen())
 	}
-	cl.Set(0x9000, tag)
-	if len(flips) != 2 {
-		t.Fatal("clone write fired the parent's listener")
-	}
 	g = sh.FlipGen()
+	cl.Set(0x9000, tag)
+	if cl.FlipGen() != g+1 || sh.FlipGen() != g || !sh.PageClean(0x9) {
+		t.Fatalf("clone flip: clone FlipGen %d (want %d), parent %d (want %d), parent page clean=%v",
+			cl.FlipGen(), g+1, sh.FlipGen(), g, sh.PageClean(0x9))
+	}
+
+	// Reset (execve) bumps the flip generation wholesale.
 	sh.Reset()
 	if sh.FlipGen() == g {
 		t.Fatal("Reset did not advance FlipGen")

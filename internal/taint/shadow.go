@@ -50,8 +50,8 @@ type Shadow struct {
 	tlbProbes uint64
 	tlbMisses uint64
 
-	// Taint-state accounting for the clean-taint gate (see
-	// harrier/trace.go). gen increments on every write that actually
+	// Taint-state accounting for the no-op verdict cache (see
+	// harrier/cleantier.go). gen increments on every write that actually
 	// changes a stored tag — no-op writes (storing the tag already
 	// present) leave it untouched, so an unchanged gen across a window
 	// proves the shadow's observable state is identical. pop counts
@@ -61,16 +61,12 @@ type Shadow struct {
 	gen uint64
 	pop int64
 
-	// Page-flip seam for the clean tier (see harrier/cleantier.go):
 	// flipGen advances every time any page's tainted-byte population
 	// crosses zero→nonzero — the only event that can turn a
 	// previously-clean footprint dirty — generalizing the negative-TLB
 	// invalidation. A cached "these pages are clean" verdict keyed on
-	// an unchanged flipGen needs no per-page re-probe. onFlip, when
-	// installed, fires synchronously on the same transition with the
-	// flipping page's index, before the write's caller regains control.
+	// an unchanged flipGen needs no per-page re-probe.
 	flipGen uint64
-	onFlip  func(idx uint32)
 }
 
 const (
@@ -88,11 +84,9 @@ type shadowPage struct {
 	words [pageWords]Tag
 	bytes *[pageSize]Tag
 
-	// idx is the page's own index in the owning shadow's page table;
 	// pop counts the page's tainted bytes (the per-page slice of
-	// Shadow.pop). Together they let writes detect the zero→nonzero
-	// flip locally and report which page flipped.
-	idx uint32
+	// Shadow.pop): it lets writes detect the zero→nonzero flip locally
+	// and PageClean answer per page.
 	pop int32
 
 	// owner is the shadow that may write the page in place; a page
@@ -144,7 +138,7 @@ func (p *shadowPage) setByte(sh *Shadow, off uint32, t Tag) {
 		sh.pop++
 		p.pop++
 		if p.pop == 1 {
-			sh.pageFlipped(p)
+			sh.flipGen++
 		}
 	} else if t == Empty {
 		sh.pop--
@@ -165,23 +159,13 @@ func (p *shadowPage) setWordSlot(sh *Shadow, w uint32, t Tag) {
 		sh.pop += 4
 		p.pop += 4
 		if p.pop == 4 {
-			sh.pageFlipped(p)
+			sh.flipGen++
 		}
 	} else if t == Empty {
 		sh.pop -= 4
 		p.pop -= 4
 	}
 	p.words[w] = t
-}
-
-// pageFlipped records that p's tainted-byte population just crossed
-// zero→nonzero: the flip generation advances and the installed
-// listener (if any) hears which page went dirty.
-func (sh *Shadow) pageFlipped(p *shadowPage) {
-	sh.flipGen++
-	if sh.onFlip != nil {
-		sh.onFlip(p.idx)
-	}
 }
 
 // NewShadow returns an empty shadow map backed by the given store.
@@ -233,7 +217,7 @@ func (sh *Shadow) wpageMiss(idx uint32) *shadowPage {
 	sh.tlbMisses++
 	p := sh.pages[idx]
 	if p != nil && p.owner != sh {
-		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop, owner: sh}
+		cp := &shadowPage{words: p.words, pop: p.pop, owner: sh}
 		if p.bytes != nil {
 			b := *p.bytes
 			cp.bytes = &b
@@ -254,7 +238,7 @@ func (sh *Shadow) TLBStats() (probes, misses uint64) {
 // pageAlloc allocates the page at an index wpage just reported
 // unallocated.
 func (sh *Shadow) pageAlloc(idx uint32) *shadowPage {
-	p := &shadowPage{idx: idx, owner: sh}
+	p := &shadowPage{owner: sh}
 	sh.pages[idx] = p
 	sh.tlbIdx, sh.tlbWIdx, sh.tlbPage = idx, idx, p
 	return p
@@ -442,7 +426,7 @@ func (sh *Shadow) Copy(dst, src, n uint32) {
 // state. Both sides share every page, which now has no owner, and the
 // parent's TLB entry stops serving writes; the first write either side
 // makes to a shared page copies it. The clone starts with a cold page
-// cache and no page-flip listener.
+// cache.
 func (sh *Shadow) Clone() *Shadow {
 	for _, p := range sh.pages {
 		if p.owner == sh {
@@ -480,7 +464,7 @@ func (sh *Shadow) Reset() {
 // Gen returns the shadow's write generation: it advances exactly when
 // a write changes a stored tag, so two equal Gen readings bracket a
 // window in which the shadow's observable state did not change. The
-// clean-taint gate keys its cached verdicts on it.
+// value-keyed no-op verdicts of the trace tier are stamped with it.
 func (sh *Shadow) Gen() uint64 { return sh.gen }
 
 // TagBytes returns the live tag population: the number of bytes
@@ -511,13 +495,6 @@ func (sh *Shadow) PageClean(idx uint32) bool {
 	p := sh.pages[idx]
 	return p == nil || p.pop == 0
 }
-
-// OnPageFlip installs fn as the page-flip listener: it fires
-// synchronously whenever a page's tainted population crosses
-// zero→nonzero, with the flipping page's index, before control
-// returns to the writer. One listener; nil uninstalls. The clean tier
-// uses it to flush demoted blocks before the next block boundary.
-func (sh *Shadow) OnPageFlip(fn func(idx uint32)) { sh.onFlip = fn }
 
 // bytePages returns how many allocated pages have degraded to byte
 // mode (exposed for tests and stats).

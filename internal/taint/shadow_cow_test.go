@@ -3,7 +3,6 @@ package taint
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -11,8 +10,8 @@ import (
 // reads, Clone and Reset across a parent and its fork relatives,
 // checked against a deep-copy reference. Pages shared by Clone are
 // copied on the first write, which must be invisible: every byte tag,
-// TagBytes, PageClean, FlipGen and the page-flip callbacks match a
-// model that copies everything eagerly.
+// TagBytes, PageClean and FlipGen match a model that copies everything
+// eagerly.
 
 const (
 	cowBase   = uint32(0x10000)
@@ -21,13 +20,12 @@ const (
 )
 
 // cowRef is the deep-copy reference: per-byte tags plus the page
-// populations, flip generation and flip callbacks the real shadow
-// maintains incrementally.
+// populations and flip generation the real shadow maintains
+// incrementally.
 type cowRef struct {
 	tags    map[uint32]Tag
 	pop     map[uint32]int
 	flipGen uint64
-	flips   []uint32
 }
 
 func newCowRef() *cowRef {
@@ -45,7 +43,6 @@ func (r *cowRef) set(addr uint32, t Tag) {
 		r.pop[idx]++
 		if r.pop[idx] == 1 {
 			r.flipGen++
-			r.flips = append(r.flips, idx)
 		}
 	case t == Empty:
 		r.pop[idx]--
@@ -158,11 +155,10 @@ func randomCowOps(seed int64, n int) []cowOp {
 }
 
 type cowWorld struct {
-	t     *testing.T
-	tags  []Tag
-	sh    []*Shadow
-	ref   []*cowRef
-	flips [][]uint32 // page-flip callbacks each shadow delivered
+	t    *testing.T
+	tags []Tag
+	sh   []*Shadow
+	ref  []*cowRef
 }
 
 func newCowWorld(t *testing.T) *cowWorld {
@@ -173,11 +169,8 @@ func newCowWorld(t *testing.T) *cowWorld {
 }
 
 func (w *cowWorld) add(sh *Shadow, ref *cowRef) {
-	i := len(w.sh)
 	w.sh = append(w.sh, sh)
 	w.ref = append(w.ref, ref)
-	w.flips = append(w.flips, nil)
-	sh.OnPageFlip(func(idx uint32) { w.flips[i] = append(w.flips[i], idx) })
 }
 
 // span clamps a length so the access stays inside the window.
@@ -256,7 +249,12 @@ func (w *cowWorld) refRange(ref *cowRef, addr, n uint32) Tag {
 	return out
 }
 
-// checkCounters compares the cheap per-step observables of shadow i.
+// checkCounters compares the cheap per-step observables of shadow i:
+// its population, its flip generation (so every step moves FlipGen by
+// exactly the reference's count of zero→nonzero page flips) and every
+// window page's PageClean verdict (so the flips land on the right
+// pages). PageClean bypasses the TLB, so the check cannot mask a
+// stale entry.
 func (w *cowWorld) checkCounters(where string, i int) {
 	w.t.Helper()
 	sh, ref := w.sh[i], w.ref[i]
@@ -266,8 +264,10 @@ func (w *cowWorld) checkCounters(where string, i int) {
 	if got, want := sh.FlipGen(), ref.flipGen; got != want {
 		w.t.Fatalf("%s: FlipGen = %d, want %d", where, got, want)
 	}
-	if !slices.Equal(w.flips[i], ref.flips) {
-		w.t.Fatalf("%s: page-flip callbacks %#x, want %#x", where, w.flips[i], ref.flips)
+	for idx := cowBase >> pageShift; idx < (cowBase+cowWindow)>>pageShift; idx++ {
+		if got, want := sh.PageClean(idx), ref.pop[idx] == 0; got != want {
+			w.t.Fatalf("%s: shadow %d PageClean(%#x) = %v, want %v", where, i, idx, got, want)
+		}
 	}
 }
 
@@ -278,11 +278,6 @@ func (w *cowWorld) check(where string, i int) {
 	for a := cowBase; a < cowBase+cowWindow; a++ {
 		if got, want := sh.Get(a), ref.tags[a]; got != want {
 			w.t.Fatalf("%s: shadow %d byte %#x = %d, want %d", where, i, a, got, want)
-		}
-	}
-	for idx := cowBase >> pageShift; idx < (cowBase+cowWindow)>>pageShift; idx++ {
-		if got, want := sh.PageClean(idx), ref.pop[idx] == 0; got != want {
-			w.t.Fatalf("%s: shadow %d PageClean(%#x) = %v, want %v", where, i, idx, got, want)
 		}
 	}
 	w.checkCounters(where, i)
@@ -309,7 +304,7 @@ func TestShadowCOWDifferential(t *testing.T) {
 		{
 			// A page allocated but clean at fork time (tainted, then
 			// drained) flips on each side's first post-fork write: the
-			// copy carries pop 0, and the callback fires on the writer.
+			// copy carries pop 0, and only the writer's FlipGen moves.
 			name: "flip on first post-fork write",
 			ops: []cowOp{
 				{kind: copSet, space: 0, addr: cowBase + 8, arg: 1},

@@ -195,22 +195,6 @@ type PreExecMonitor interface {
 	PreExec(p *Process)
 }
 
-// TaintSourceMonitor is an optional Monitor extension: a monitor that
-// runs guest code uninstrumented while the taint state is provably
-// clean (Harrier's clean tier) implements it to hear about
-// taint-source system calls — read(2), socketcall(recv), and the
-// cross-process transfers that ride on them — at the moment the
-// kernel commits to depositing external data into guest memory,
-// before the deposit and before the monitor's own SyscallExit tagging
-// runs. The callback gives the monitor a hard boundary at which to
-// flush any "no live taint reachable" assumptions, independent of the
-// shadow's own page-flip seam. Discovered by type assertion, like
-// PreExecMonitor, so existing Monitor implementations stay
-// source-compatible.
-type TaintSourceMonitor interface {
-	TaintSource(p *Process, sc *SyscallCtx)
-}
-
 // NopMonitor is an embeddable no-op Monitor.
 type NopMonitor struct{}
 

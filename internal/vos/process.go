@@ -138,15 +138,6 @@ func (p *Process) notifyEnter(sc *SyscallCtx) bool {
 	return true
 }
 
-// notifyTaintSource tells a TaintSourceMonitor (when the monitor is
-// one) that sc is about to deposit externally-sourced data into p's
-// memory — the clean tier's re-instrumentation boundary.
-func (p *Process) notifyTaintSource(sc *SyscallCtx) {
-	if m, ok := p.Monitor.(TaintSourceMonitor); ok {
-		m.TaintSource(p, sc)
-	}
-}
-
 func (p *Process) notifyExit(sc *SyscallCtx) {
 	if bus := p.OS.bus; bus != nil {
 		bus.Publish(obs.Event{

@@ -356,7 +356,6 @@ func (k *kernel) sysRead(p *Process, args [5]uint32) {
 		if !p.notifyEnter(sc) {
 			return
 		}
-		p.notifyTaintSource(sc)
 		avail := p.stdin[p.stdinOff:]
 		nr := int(k.clampRead(p, n, want))
 		if nr > len(avail) {
@@ -371,7 +370,6 @@ func (k *kernel) sysRead(p *Process, args [5]uint32) {
 		if !p.notifyEnter(sc) {
 			return
 		}
-		p.notifyTaintSource(sc)
 		avail := fd.file.Data[min(fd.off, len(fd.file.Data)):]
 		nr := int(k.clampRead(p, n, want))
 		if nr > len(avail) {
@@ -410,7 +408,6 @@ func (k *kernel) recvCommon(p *Process, fd *FDesc, sock *SockInfo, args [5]uint3
 		if !p.notifyEnter(sc) {
 			return true // killed: unblock into the exited state
 		}
-		p.notifyTaintSource(sc)
 		data := fd.conn.Read(int(k.clampRead(p, -1, want)))
 		p.CPU.Mem.WriteBytes(buf, data)
 		ret(p, uint32(len(data)))

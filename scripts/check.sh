@@ -41,9 +41,10 @@ go test -fuzz=FuzzEngineDifferential -fuzztime=10s ./internal/expert
 go test -run TestTraceDifferentialSweep -count=1 ./internal/corpus
 go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
 # Clean-tier gates: the corpus must be bit-identical on the
-# interpreter tier alone and with traces, the clean tier off and on,
-# the page-flip re-instrumentation seam holds under
-# the chaos-delayed recv regression, and the mid-run taint-injection
+# interpreter tier alone and with traces running bare under no-op
+# verdicts, every verdict key field and stamp must force re-proof when
+# it goes stale, the page-flip re-instrumentation seam holds under the
+# chaos-delayed recv regression, and the mid-run taint-injection
 # oracle gets a fuzz smoke (see Makefile `clean-tier`).
 make clean-tier
 # ELF frontend gate: fixture scenarios, symbolized-provenance goldens,
